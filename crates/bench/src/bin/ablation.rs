@@ -12,15 +12,16 @@
 //! Run all with no argument, or pass one name.
 
 use memif::{MemifConfig, RaceMode};
-use memif_bench::{stream_memif, Table};
-use memif_hwsim::CostModel;
+use memif_bench::{run_stream, StreamSpec, Table};
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
 
 fn throughput(config: MemifConfig, kind: ShapeKind, pages: u32) -> f64 {
-    let cost = CostModel::keystone_ii();
     let count = ((32u64 << 20) / (u64::from(pages) * 4096)).clamp(16, 256) as usize;
-    stream_memif(&cost, config, kind, PageSize::Small4K, pages, count, 8).throughput_gbps
+    let spec = StreamSpec::new(kind, PageSize::Small4K, pages, count, 8);
+    run_stream(&StreamSpec { config, ..spec })
+        .result
+        .throughput_gbps
 }
 
 fn descriptor_reuse() {
@@ -133,7 +134,6 @@ fn poll_threshold() {
             "throughput (GB/s)",
         ],
     );
-    let cost = CostModel::keystone_ii();
     for (name, thr) in [
         ("always-interrupt (0)", Some(0u64)),
         ("512KB (paper)", None),
@@ -143,15 +143,8 @@ fn poll_threshold() {
             poll_threshold_bytes: thr,
             ..MemifConfig::default()
         };
-        let run = stream_memif(
-            &cost,
-            config.clone(),
-            ShapeKind::Migrate,
-            PageSize::Small4K,
-            4,
-            128,
-            8,
-        );
+        let spec = StreamSpec::new(ShapeKind::Migrate, PageSize::Small4K, 4, 128, 8);
+        let run = run_stream(&StreamSpec { config, ..spec }).result;
         let mean = run
             .completion_times
             .iter()
@@ -161,8 +154,8 @@ fn poll_threshold() {
             / 1_000.0;
         table.row(&[
             name.to_owned(),
-            run.interrupts.to_string(),
-            run.polled.to_string(),
+            run.stats.interrupts.to_string(),
+            run.stats.polled.to_string(),
             format!("{mean:.1}"),
             format!("{:.2}", run.throughput_gbps),
         ]);

@@ -14,8 +14,7 @@
 //! requests are lost or wedged.
 
 use memif::{FaultPlan, MemifConfig};
-use memif_bench::{stream_memif, stream_memif_with_faults, Table};
-use memif_hwsim::CostModel;
+use memif_bench::{run_stream, StreamSpec, Table};
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
 
@@ -28,7 +27,6 @@ fn main() {
     // `--quick` trims the sweep for CI smoke runs; the default run is
     // untouched so published tables stay reproducible byte-for-byte.
     let quick = std::env::args().any(|a| a == "--quick");
-    let cost = CostModel::keystone_ii();
     let bytes_per_req = u64::from(PAGES) * PAGE.bytes();
     let count = if quick {
         24
@@ -60,27 +58,15 @@ fn main() {
             ShapeKind::Migrate => "migrate",
         };
         // Fault-free baseline for the "retained" column.
-        let base = stream_memif(
-            &cost,
-            MemifConfig::default(),
-            kind,
-            PAGE,
-            PAGES,
-            count,
-            WINDOW,
-        );
+        let spec = StreamSpec::new(kind, PAGE, PAGES, count, WINDOW);
+        let base = run_stream(&spec).result;
         for &rate in rates {
-            let plan = (rate > 0.0).then(|| FaultPlan::dma_errors(SEED, rate));
-            let run = stream_memif_with_faults(
-                &cost,
-                MemifConfig::default(),
-                kind,
-                PAGE,
-                PAGES,
-                count,
-                WINDOW,
-                plan,
-            );
+            let faults = (rate > 0.0).then(|| FaultPlan::dma_errors(SEED, rate));
+            let run = run_stream(&StreamSpec {
+                faults,
+                ..spec.clone()
+            })
+            .result;
             assert_eq!(
                 run.requests, count,
                 "every submitted request must reach a terminal state"
@@ -91,8 +77,8 @@ fn main() {
                 format!("{rate:.0e}"),
                 format!("{:.2}", run.throughput_gbps),
                 format!("{:.1}%", 100.0 * run.throughput_gbps / base.throughput_gbps),
-                run.retries.to_string(),
-                run.fallbacks.to_string(),
+                run.stats.retries.to_string(),
+                run.stats.fallbacks.to_string(),
                 run.failed.to_string(),
             ]);
         }
@@ -104,15 +90,8 @@ fn main() {
     // replication workload. Dropped completions exercise the watchdog;
     // the no-retry configuration forces the CPU-copy fallback so its
     // costed degradation is visible in the throughput column.
-    let base = stream_memif(
-        &cost,
-        MemifConfig::default(),
-        ShapeKind::Replicate,
-        PAGE,
-        PAGES,
-        count,
-        WINDOW,
-    );
+    let spec = StreamSpec::new(ShapeKind::Replicate, PAGE, PAGES, count, WINDOW);
+    let base = run_stream(&spec).result;
     let drops = FaultPlan {
         drop_rate: 1e-3,
         ..FaultPlan::new(SEED)
@@ -151,26 +130,22 @@ fn main() {
         ],
     );
     for (name, config, plan) in scenarios {
-        let run = stream_memif_with_faults(
-            &cost,
-            config.clone(),
-            ShapeKind::Replicate,
-            PAGE,
-            PAGES,
-            count,
-            WINDOW,
-            Some(plan.clone()),
-        );
+        let run = run_stream(&StreamSpec {
+            config: config.clone(),
+            faults: Some(plan.clone()),
+            ..spec.clone()
+        })
+        .result;
         assert_eq!(run.requests, count, "no request may be lost or wedged");
         assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
         modes.row(&[
             (*name).to_owned(),
             format!("{:.2}", run.throughput_gbps),
             format!("{:.1}%", 100.0 * run.throughput_gbps / base.throughput_gbps),
-            run.retries.to_string(),
-            run.timeouts.to_string(),
-            run.dma_errors.to_string(),
-            run.fallbacks.to_string(),
+            run.stats.retries.to_string(),
+            run.stats.timeouts.to_string(),
+            run.stats.dma_errors.to_string(),
+            run.stats.fallbacks.to_string(),
             run.failed.to_string(),
         ]);
     }

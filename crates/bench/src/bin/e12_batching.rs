@@ -21,8 +21,7 @@
 //! state — including under an injected DMA error rate (E12b).
 
 use memif::{FaultPlan, MemifConfig, Phase, SimDuration};
-use memif_bench::{stream_memif_with_faults, Table};
-use memif_hwsim::CostModel;
+use memif_bench::{run_stream, StreamSpec, Table};
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
 
@@ -47,7 +46,6 @@ fn main() {
     // `--quick` trims the sweep for CI smoke runs; the default run is
     // untouched so published tables stay reproducible byte-for-byte.
     let quick = std::env::args().any(|a| a == "--quick");
-    let cost = CostModel::keystone_ii();
     let bytes_per_req = u64::from(PAGES) * PAGE.bytes();
     let count = if quick {
         64
@@ -92,16 +90,11 @@ fn main() {
         let mut base_bytes = 0u64;
         let mut best_issue = SimDuration::ZERO;
         for &(batch, coalesce) in sweep {
-            let run = stream_memif_with_faults(
-                &cost,
-                config(batch, coalesce),
-                kind,
-                PAGE,
-                PAGES,
-                count,
-                WINDOW,
-                None,
-            );
+            let run = run_stream(&StreamSpec {
+                config: config(batch, coalesce),
+                ..StreamSpec::new(kind, PAGE, PAGES, count, WINDOW)
+            })
+            .result;
             assert_eq!(
                 run.requests, count,
                 "every request reaches a terminal state"
@@ -133,7 +126,7 @@ fn main() {
                 run.stats.descriptors_written.to_string(),
                 run.stats.segments_coalesced.to_string(),
                 run.stats.requests_batched.to_string(),
-                (run.interrupts + run.polled).to_string(),
+                (run.stats.interrupts + run.stats.polled).to_string(),
             ]);
         }
         // The acceptance bar: batching + coalescing must at least halve
@@ -164,23 +157,19 @@ fn main() {
     );
     let rates: &[f64] = if quick { &[1e-3] } else { &[1e-4, 1e-3, 1e-2] };
     for &rate in rates {
-        let run = stream_memif_with_faults(
-            &cost,
-            config(16, true),
-            ShapeKind::Replicate,
-            PAGE,
-            PAGES,
-            count,
-            WINDOW,
-            Some(FaultPlan::dma_errors(SEED, rate)),
-        );
+        let run = run_stream(&StreamSpec {
+            config: config(16, true),
+            faults: Some(FaultPlan::dma_errors(SEED, rate)),
+            ..StreamSpec::new(ShapeKind::Replicate, PAGE, PAGES, count, WINDOW)
+        })
+        .result;
         assert_eq!(run.requests, count, "no request may be lost or wedged");
         assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
         chaos.row(&[
             format!("{rate:.0e}"),
             format!("{:.2}", run.throughput_gbps),
-            run.retries.to_string(),
-            run.fallbacks.to_string(),
+            run.stats.retries.to_string(),
+            run.stats.fallbacks.to_string(),
             run.stats.requests_batched.to_string(),
             run.failed.to_string(),
         ]);

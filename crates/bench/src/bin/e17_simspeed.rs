@@ -31,8 +31,8 @@
 use std::time::Instant;
 
 use memif::MemifConfig;
-use memif_bench::{stream_memif, Table};
-use memif_hwsim::{CostModel, EventWorld, Sim, SimDuration, SimTime};
+use memif_bench::{run_stream, StreamSpec, Table};
+use memif_hwsim::{EventWorld, Sim, SimDuration, SimTime};
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
 
@@ -281,7 +281,6 @@ fn main() {
     // completion chain plus flow-timer rearms); the batched 64-page
     // stream shows the other extreme, where each event carries a whole
     // batch and the scheduler is far from the bottleneck.
-    let cost = CostModel::keystone_ii();
     let mut macro_table = Table::new(
         "E17b: fig8-class macro runs, host-clocked",
         &[
@@ -318,15 +317,11 @@ fn main() {
     let mut dense_run = None;
     for (label, config, kind, pages, count, window) in shapes {
         let t0 = Instant::now();
-        let run = stream_memif(
-            &cost,
-            config.clone(),
-            *kind,
-            PageSize::Small4K,
-            *pages,
-            *count,
-            *window,
-        );
+        let run = run_stream(&StreamSpec {
+            config: config.clone(),
+            ..StreamSpec::new(*kind, PageSize::Small4K, *pages, *count, *window)
+        })
+        .result;
         let host_secs = t0.elapsed().as_secs_f64();
         assert_eq!(run.requests, *count, "every request terminates");
         assert!(run.events_executed > 0, "macro run must execute events");
@@ -366,15 +361,14 @@ fn main() {
         );
         let count = 1_000_000usize;
         let t0 = Instant::now();
-        let run = stream_memif(
-            &cost,
-            MemifConfig::default(),
+        let run = run_stream(&StreamSpec::new(
             ShapeKind::Migrate,
             PageSize::Small4K,
             1,
             count,
             32,
-        );
+        ))
+        .result;
         let host_secs = t0.elapsed().as_secs_f64();
         assert_eq!(run.requests, count, "every request terminates");
         huge_table.row(&[

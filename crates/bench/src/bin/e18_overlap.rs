@@ -61,10 +61,9 @@ struct OverlapRun {
     rearm_saved: u64,
 }
 
-/// One streaming run at overlap depth `depth`. Deep configs pair the
-/// finer fill units with paired issue batching and batched timer
-/// rearm, exactly as `memifctl stream --overlap-depth K` configures
-/// the device.
+/// One streaming run at overlap depth `depth`, on the device
+/// configuration the depth implies ([`StreamConfig::device_config`],
+/// which `memifctl stream --overlap-depth K` uses too).
 fn run_depth(depth: usize, total: u64) -> OverlapRun {
     // KeyStone II, except the input stream is resident on a cold,
     // CPU-hostile slow tier: direct CPU streaming runs at the
@@ -78,23 +77,6 @@ fn run_depth(depth: usize, total: u64) -> OverlapRun {
     let mut sys = System::with_profile(Topology::keystone_ii(), cost);
     let mut sim = Sim::new();
     let space = sys.new_space();
-    let memif = Memif::open(
-        &mut sys,
-        space,
-        MemifConfig {
-            // Configs deeper than 2 batch fills in pairs: pairs are
-            // wide enough to fan completions out at the same instant
-            // (so batched timer rearm has duplicates to elide) yet — at
-            // depth ≥ 4 — still sub-chunk, keeping the readiness
-            // stagger that pipelining is for. Batching a buffer's whole
-            // complement of units would complete them as a single flow
-            // and cancel the granularity win.
-            batch_max: if depth > 2 { 2 } else { 1 },
-            batch_rearm: depth > 2,
-            ..MemifConfig::default()
-        },
-    )
-    .unwrap();
     let config = StreamConfig {
         placement: Placement::MemifPrefetch,
         buffer_pages: 64, // 256 KiB buffers
@@ -103,6 +85,7 @@ fn run_depth(depth: usize, total: u64) -> OverlapRun {
         overlap_depth: depth,
         ..StreamConfig::default()
     };
+    let memif = Memif::open(&mut sys, space, config.device_config()).unwrap();
     let rt = StreamRuntime::launch(
         &mut sys,
         &mut sim,

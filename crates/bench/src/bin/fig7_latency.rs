@@ -7,8 +7,7 @@
 //! batches pay crossing overhead per request; large batches delay every
 //! completion to the end of the long syscall.
 
-use memif::MemifConfig;
-use memif_bench::{stream_linux, stream_memif, Table};
+use memif_bench::{run_stream, stream_linux, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -17,15 +16,15 @@ fn main() {
     let cost = CostModel::keystone_ii();
     let (pages, count) = (16u32, 8usize);
 
-    let memif_run = stream_memif(
-        &cost,
-        MemifConfig::default(),
+    // All eight submitted up front, as in the paper.
+    let memif_run = run_stream(&StreamSpec::new(
         ShapeKind::Migrate,
         PageSize::Small4K,
         pages,
         count,
-        count, // all eight submitted up front, as in the paper
-    );
+        count,
+    ))
+    .result;
     let linux: Vec<(usize, _)> = [1usize, 4, 8]
         .iter()
         .map(|&b| (b, stream_linux(&cost, PageSize::Small4K, pages, count, b)))
@@ -72,7 +71,7 @@ fn main() {
     };
     summary.row(&[
         "memif".to_owned(),
-        memif_run.ioctls.to_string(),
+        memif_run.stats.ioctls.to_string(),
         format!(
             "{:.1}",
             memif_run.completion_times[count - 1].as_ns() as f64 / 1_000.0
@@ -82,7 +81,7 @@ fn main() {
     for (b, run) in &linux {
         summary.row(&[
             format!("linux-batch{b}"),
-            run.ioctls.to_string(),
+            run.stats.ioctls.to_string(),
             format!(
                 "{:.1}",
                 run.completion_times[count - 1].as_ns() as f64 / 1_000.0
@@ -105,6 +104,6 @@ fn main() {
         memif_mean,
         best_linux_mean,
         (1.0 - memif_mean / best_linux_mean) * 100.0,
-        memif_run.ioctls
+        memif_run.stats.ioctls
     );
 }

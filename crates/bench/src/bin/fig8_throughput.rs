@@ -7,8 +7,7 @@
 //! large ones; replication exceeds migration because it skips virtual
 //! memory management entirely.
 
-use memif::MemifConfig;
-use memif_bench::{hugefast_topology, stream_linux, stream_memif, stream_memif_pooled, Table};
+use memif_bench::{hugefast_topology, run_stream, stream_linux, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -26,17 +25,13 @@ fn huge_row(cost: &CostModel) {
             "page", "regions", "window", "GB/s", "wall ms", "events", "peak-q",
         ],
     );
-    let r = stream_memif_pooled(
-        hugefast_topology(),
-        cost,
-        MemifConfig::default(),
-        ShapeKind::Migrate,
-        PageSize::Small4K,
-        1,
-        REGIONS,
-        64,
-        REGIONS,
-    );
+    let r = run_stream(&StreamSpec {
+        topology: hugefast_topology(),
+        cost: cost.clone(),
+        pool: Some(REGIONS),
+        ..StreamSpec::new(ShapeKind::Migrate, PageSize::Small4K, 1, REGIONS, 64)
+    })
+    .result;
     table.row(&[
         "4KB".to_owned(),
         REGIONS.to_string(),
@@ -89,24 +84,8 @@ fn main() {
             let count = ((64u64 << 20) / bytes_per_req).clamp(24, 512) as usize;
 
             let linux = stream_linux(&cost, *page_size, pages, count, 1);
-            let mig = stream_memif(
-                &cost,
-                MemifConfig::default(),
-                ShapeKind::Migrate,
-                *page_size,
-                pages,
-                count,
-                8,
-            );
-            let rep = stream_memif(
-                &cost,
-                MemifConfig::default(),
-                ShapeKind::Replicate,
-                *page_size,
-                pages,
-                count,
-                8,
-            );
+            let run = |kind| run_stream(&StreamSpec::new(kind, *page_size, pages, count, 8)).result;
+            let (mig, rep) = (run(ShapeKind::Migrate), run(ShapeKind::Replicate));
             table.row(&[
                 page_size.to_string(),
                 pages.to_string(),

@@ -4,9 +4,11 @@
 //!
 //! * **single-request probes** ([`probe_memif_once`], [`probe_linux_once`])
 //!   — Figure 6's per-request time breakdown and CPU usage;
-//! * **streaming drivers** ([`stream_memif`], [`stream_linux`]) — the
-//!   continuous-request workloads behind Figures 7 and 8 (completion
-//!   timelines and throughput).
+//! * **streaming drivers** ([`run_stream`] over a [`StreamSpec`], and
+//!   [`stream_linux`]) — the continuous-request workloads behind Figures 7
+//!   and 8 (completion timelines and throughput);
+//! * **crash recovery** ([`crash_migrate_nvm`]) — a journaled DDR<->NVM
+//!   stream crashed, recovered and re-driven (E15).
 //!
 //! Capacity note: the real KeyStone II fast node holds only 6 MiB, which
 //! the paper worked around by *emulating* larger pages (§6.2). We instead
@@ -28,35 +30,41 @@ use memif_hwsim::{
 };
 use memif_workloads::ShapeKind;
 
+/// An 8 GiB DDR3 bank (node 0, rank `ddr_rank`) plus `second` as node
+/// 1, offline until boot completes: the shape of every harness machine.
+fn ddr3_plus(ddr_rank: u16, second: MemoryNode) -> Topology {
+    let ddr3 = MemoryNode {
+        id: NodeId(0),
+        name: "ddr3".to_owned(),
+        kind: MemoryKind::Slow,
+        tier: TierRank(ddr_rank),
+        base: PhysAddr::new(0x8_0000_0000),
+        bytes: 8 << 30,
+        bandwidth_gbps: 6.2,
+        boot_visible: true,
+    };
+    Topology::must_custom(vec![ddr3, second], 4)
+}
+
+/// A KeyStone II-bandwidth fast bank of `bytes` at `base`.
+fn fast_bank(base: u64, bytes: u64) -> MemoryNode {
+    MemoryNode {
+        id: NodeId(1),
+        name: "fast-bank".to_owned(),
+        kind: MemoryKind::Fast,
+        tier: TierRank(0),
+        base: PhysAddr::new(base),
+        bytes,
+        bandwidth_gbps: 24.0,
+        boot_visible: false,
+    }
+}
+
 /// A topology with KeyStone II bandwidths but a 256 MiB fast bank, for
 /// sweeps whose working sets exceed 6 MiB (see module docs).
 #[must_use]
 pub fn bigfast_topology() -> Topology {
-    Topology::must_custom(
-        vec![
-            MemoryNode {
-                id: NodeId(0),
-                name: "ddr3".to_owned(),
-                kind: MemoryKind::Slow,
-                tier: TierRank(1),
-                base: PhysAddr::new(0x8_0000_0000),
-                bytes: 8 << 30,
-                bandwidth_gbps: 6.2,
-                boot_visible: true,
-            },
-            MemoryNode {
-                id: NodeId(1),
-                name: "fast-bank".to_owned(),
-                kind: MemoryKind::Fast,
-                tier: TierRank(0),
-                base: PhysAddr::new(0x0C00_0000),
-                bytes: 256 << 20,
-                bandwidth_gbps: 24.0,
-                boot_visible: false,
-            },
-        ],
-        4,
-    )
+    ddr3_plus(1, fast_bank(0x0C00_0000, 256 << 20))
 }
 
 /// A topology with KeyStone II bandwidths but 8 GiB banks on *both*
@@ -65,31 +73,7 @@ pub fn bigfast_topology() -> Topology {
 /// every region on the destination bank at once.
 #[must_use]
 pub fn hugefast_topology() -> Topology {
-    Topology::must_custom(
-        vec![
-            MemoryNode {
-                id: NodeId(0),
-                name: "ddr3".to_owned(),
-                kind: MemoryKind::Slow,
-                tier: TierRank(1),
-                base: PhysAddr::new(0x8_0000_0000),
-                bytes: 8 << 30,
-                bandwidth_gbps: 6.2,
-                boot_visible: true,
-            },
-            MemoryNode {
-                id: NodeId(1),
-                name: "fast-bank".to_owned(),
-                kind: MemoryKind::Fast,
-                tier: TierRank(0),
-                base: PhysAddr::new(0x20_0000_0000),
-                bytes: 8 << 30,
-                bandwidth_gbps: 24.0,
-                boot_visible: false,
-            },
-        ],
-        4,
-    )
+    ddr3_plus(1, fast_bank(0x20_0000_0000, 8 << 30))
 }
 
 /// A two-tier topology for the crash-consistency experiments (E15): a
@@ -98,30 +82,18 @@ pub fn hugefast_topology() -> Topology {
 /// throttled separately by `CostModel::nvm_write_bw_gbps`.
 #[must_use]
 pub fn nvm_topology() -> Topology {
-    Topology::must_custom(
-        vec![
-            MemoryNode {
-                id: NodeId(0),
-                name: "ddr3".to_owned(),
-                kind: MemoryKind::Slow,
-                tier: TierRank(0),
-                base: PhysAddr::new(0x8_0000_0000),
-                bytes: 8 << 30,
-                bandwidth_gbps: 6.2,
-                boot_visible: true,
-            },
-            MemoryNode {
-                id: NodeId(1),
-                name: "nvm".to_owned(),
-                kind: MemoryKind::Nvm,
-                tier: TierRank(1),
-                base: PhysAddr::new(0x10_0000_0000),
-                bytes: 1 << 30,
-                bandwidth_gbps: 6.2,
-                boot_visible: false,
-            },
-        ],
-        4,
+    ddr3_plus(
+        0,
+        MemoryNode {
+            id: NodeId(1),
+            name: "nvm".to_owned(),
+            kind: MemoryKind::Nvm,
+            tier: TierRank(1),
+            base: PhysAddr::new(0x10_0000_0000),
+            bytes: 1 << 30,
+            bandwidth_gbps: 6.2,
+            boot_visible: false,
+        },
     )
 }
 
@@ -186,13 +158,11 @@ pub fn probe_memif_once(
     // CPU usage is measured over the request's full footprint, including
     // the trailing kernel-thread work after the notification.
     let window = sim.now().max(record.completed_at).since(t0);
-    let mut phases = sys.device(memif.device()).unwrap().stats.phases.clone();
     // Per-request delta.
-    let mut delta = PhaseBreakdown::new();
-    for (phase, cost_after) in phases.iter() {
-        delta.add(phase, cost_after.saturating_sub(phases_before.get(phase)));
+    let mut phases = PhaseBreakdown::new();
+    for (phase, after) in sys.device(memif.device()).unwrap().stats.phases.iter() {
+        phases.add(phase, after.saturating_sub(phases_before.get(phase)));
     }
-    phases = delta;
     // Add the DMA transfer itself as the Copy column (memif offloads it).
     phases.add(
         memif_hwsim::Phase::Copy,
@@ -216,7 +186,8 @@ pub fn probe_linux_once(cost: &CostModel, page_size: PageSize, pages: u32) -> Pr
     let start = sys.mmap(space, pages, page_size, NodeId(0)).unwrap();
     let mut meter = memif_hwsim::UsageMeter::new();
     let out = {
-        let (spaces, alloc, phys) = split_mm(&mut sys);
+        // The baseline path runs outside the DES against the same machine.
+        let (spaces, alloc, phys) = sys.split_for_baseline();
         mbind(
             &mut spaces[space.0],
             alloc,
@@ -238,19 +209,8 @@ pub fn probe_linux_once(cost: &CostModel, page_size: PageSize, pages: u32) -> Pr
     }
 }
 
-fn split_mm(
-    sys: &mut System,
-) -> (
-    &mut Vec<memif_mm::AddressSpace>,
-    &mut memif_mm::FrameAllocator,
-    &mut memif_hwsim::PhysMem,
-) {
-    // The baseline path runs outside the DES against the same machine.
-    sys.split_for_baseline()
-}
-
 /// Result of a streaming run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamResult {
     /// Requests completed.
     pub requests: usize,
@@ -262,40 +222,23 @@ pub struct StreamResult {
     pub throughput_gbps: f64,
     /// Completion time of each request, in submission order.
     pub completion_times: Vec<SimTime>,
-    /// Total `ioctl(MOV_ONE)` syscalls the application made.
-    pub ioctls: u64,
-    /// Completions taken through the interrupt path.
-    pub interrupts: u64,
-    /// Completions taken through the kernel thread's polling mode.
-    pub polled: u64,
     /// CPU usage over the run (fraction of one core).
     pub cpu_usage: f64,
-    /// DMA re-issues after an error, timeout, or descriptor exhaustion
-    /// (nonzero only under fault injection).
-    pub retries: u64,
-    /// Requests served by the degraded CPU-copy path.
-    pub fallbacks: u64,
-    /// Watchdog expiries.
-    pub timeouts: u64,
-    /// DMA error interrupts taken.
-    pub dma_errors: u64,
     /// Requests that reached a `Failed` terminal status.
     pub failed: u64,
-    /// The device's full driver counters at the end of the run
-    /// (batching/coalescing analysis reads `requests_batched`,
-    /// `segments_coalesced`, `descriptors_written`,
-    /// `descriptor_writes_saved`, and the phase breakdown from here).
+    /// The device's driver counters at the end of the run: syscalls
+    /// (`ioctls`), completion paths (`interrupts`/`polled`), fault
+    /// handling (`retries`, `fallbacks`, `timeouts`, `dma_errors`), the
+    /// batching/coalescing set, and the phase breakdown. The Linux
+    /// baseline fills only `ioctls`, with its `mbind` syscalls.
     pub stats: memif::DriverStats,
-    /// Kernel-worker busy time per issue shard (index = shard). Empty
-    /// when the run recorded no worker-attributed time (e.g. the Linux
-    /// baseline).
+    /// Kernel-worker busy time per issue shard (empty for the Linux
+    /// baseline, as are the fields below).
     pub worker_busy: Vec<SimDuration>,
     /// Per-tier occupancy and migration counts at the end of the run
-    /// ([`memif::System::tier_usage`]). Empty for the Linux baseline,
-    /// which models no tiered machine.
+    /// ([`memif::System::tier_usage`]).
     pub tiers: Vec<memif::TierUsage>,
-    /// Events the DES scheduler executed over the run. Zero for the
-    /// Linux baseline, which is computed closed-form without the DES.
+    /// Events the DES scheduler executed over the run.
     pub events_executed: u64,
     /// Pending events cancelled before firing (flow-timer rearms,
     /// watchdog disarms).
@@ -303,398 +246,178 @@ pub struct StreamResult {
     /// High-water mark of concurrently pending scheduler events.
     pub peak_pending: usize,
     /// Per-tenant `(id, weight, stats)` snapshot of the QoS registry at
-    /// the end of the run, ascending by id. Empty for single-tenant
-    /// runs (nothing was ever registered).
+    /// the end of the run, ascending by id (empty without a roster).
     pub tenant_stats: Vec<(u16, u32, memif::TenantStats)>,
 }
 
-/// Streams `count` identical memif requests, keeping up to `window`
-/// outstanding, and measures throughput and the completion timeline.
-///
-/// Migrations ping-pong their regions between the nodes so the fast bank
-/// never overflows (only forward-direction bytes are counted — both
-/// directions cost the same, so throughput is unaffected).
-///
-/// # Panics
-///
-/// Panics if any request fails.
-#[must_use]
-pub fn stream_memif(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-) -> StreamResult {
-    stream_memif_with_faults(
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        None,
-    )
+/// One streaming run: `count` identical memif requests of
+/// `pages`×`page_size`, keeping up to `window` outstanding, over a pool
+/// of regions that migrations ping-pong between the two nodes (so the
+/// fast bank never overflows; only forward-direction bytes are counted,
+/// and both directions cost the same).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamSpec {
+    /// The machine: [`bigfast_topology`] by default, [`nvm_topology`]
+    /// for the asymmetric-write tier, [`hugefast_topology`] for pools
+    /// of a million regions.
+    pub topology: Topology,
+    /// The cost profile.
+    pub cost: CostModel,
+    /// The device configuration.
+    pub config: MemifConfig,
+    /// Replication or migration.
+    pub kind: ShapeKind,
+    /// Page granularity.
+    pub page_size: PageSize,
+    /// Pages per request.
+    pub pages: u32,
+    /// Requests in the run.
+    pub count: usize,
+    /// Requests outstanding at once.
+    pub window: usize,
+    /// Distinct regions the requests cycle over (`None`: `window`); a
+    /// pool larger than the window grows the address-space footprint
+    /// while `window` still caps concurrency.
+    pub pool: Option<usize>,
+    /// Fault plan installed before the first submission; with one,
+    /// failed completions are counted instead of panicking.
+    pub faults: Option<FaultPlan>,
+    /// `(id, weight)` tenants, registered before the first submission,
+    /// that tag requests round-robin; empty leaves all on the root.
+    pub tenants: Vec<(u16, u32)>,
+    /// Record the typed event log.
+    pub log_events: bool,
 }
 
-/// [`stream_memif`] with an optional fault plan installed before the
-/// first submission (the E10 chaos workloads). With a plan, failed
-/// completions are tolerated and counted instead of panicking; every
-/// request must still reach a terminal state or the run asserts.
-///
-/// # Panics
-///
-/// Panics if any request fails while no fault plan is installed, or if
-/// any request never completes.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_with_faults(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-) -> StreamResult {
-    run_stream(
-        bigfast_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        faults,
-        false,
-        &[],
-    )
-    .result
+impl StreamSpec {
+    /// A fault-free, single-tenant run on [`bigfast_topology`] with the
+    /// KeyStone II cost model and the default device configuration.
+    #[must_use]
+    pub fn new(
+        kind: ShapeKind,
+        page_size: PageSize,
+        pages: u32,
+        count: usize,
+        window: usize,
+    ) -> Self {
+        StreamSpec {
+            topology: bigfast_topology(),
+            cost: CostModel::keystone_ii(),
+            config: MemifConfig::default(),
+            kind,
+            page_size,
+            pages,
+            count,
+            window,
+            pool: None,
+            faults: None,
+            tenants: Vec::new(),
+            log_events: false,
+        }
+    }
 }
 
-/// [`stream_memif`] with the region pool sized independently of the
-/// outstanding window, on a caller-chosen topology. The classic entry
-/// points reuse `window` regions round-robin — fine for throughput, but
-/// it means the *address-space footprint* never grows past the window.
-/// The huge sweeps (`fig8_throughput --huge`) stream one request over
-/// each of a million distinct regions; `pool` sets that footprint while
-/// `window` still caps concurrency.
-///
-/// # Panics
-///
-/// Panics if any request fails.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_pooled(
-    topo: Topology,
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    pool: usize,
-) -> StreamResult {
-    run_stream(
-        topo, cost, memif_config, kind, page_size, pages, count, window, pool, None, false, &[],
-    )
-    .result
-}
-
-/// [`stream_memif`] on [`nvm_topology`] instead of the big fast bank:
-/// requests ping-pong between DDR and the persistent NVM node, so the
-/// run exercises the asymmetric-write tier (and, with
-/// `MemifConfig::journal` set, the write-ahead journal costs). The E15
-/// overhead bar compares this with journaling on and off.
-///
-/// # Panics
-///
-/// Panics if any request fails or never completes.
-#[must_use]
-pub fn stream_memif_nvm(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-) -> StreamResult {
-    run_stream(
-        nvm_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        None,
-        false,
-        &[],
-    )
-    .result
-}
-
-/// A streaming run captured in full: the [`StreamResult`], the typed
-/// event log (one JSON record per dispatched event, in execution order),
-/// and each request's terminal status in completion order. Two runs of
-/// the same scenario — same cost model, config, shape, and fault plan —
-/// produce byte-identical logs; `memifctl` builds its trace dump and
-/// replay check on this.
+/// A streaming run captured in full. Two runs of the same spec produce
+/// byte-identical logs; `memifctl` builds its traces on this.
 #[derive(Debug, Clone)]
 pub struct LoggedStream {
-    /// The measurements, as from [`stream_memif_with_faults`].
+    /// The measurements.
     pub result: StreamResult,
-    /// JSON-lines event log of the whole run.
+    /// JSON-lines event log, in execution order (empty unless
+    /// [`StreamSpec::log_events`]).
     pub events: Vec<String>,
     /// `(req_id, terminal MoveStatus)` per request, completion order.
     pub statuses: Vec<(u64, String)>,
 }
 
-/// [`stream_memif_with_faults`] with the typed event log enabled.
+/// Runs `spec` and measures throughput and the completion timeline.
 ///
 /// # Panics
 ///
 /// Panics if any request fails while no fault plan is installed, or if
 /// any request never completes.
-#[allow(clippy::too_many_arguments)]
 #[must_use]
-pub fn stream_memif_logged(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-) -> LoggedStream {
-    stream_memif_tenants_logged(
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        faults,
-        &[],
-    )
-}
-
-/// [`stream_memif_with_faults`] with a tenant roster (see
-/// [`stream_memif_tenants_logged`]); the event log stays off.
-///
-/// # Panics
-///
-/// Panics if any request fails while no fault plan is installed, or if
-/// any request never completes.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_tenants(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-    tenants: &[(u16, u32)],
-) -> StreamResult {
-    run_stream(
-        bigfast_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        faults,
-        false,
-        tenants,
-    )
-    .result
-}
-
-/// [`stream_memif_logged`] with a tenant roster: requests are tagged
-/// round-robin across `tenants` (`(id, weight)` pairs, registered in
-/// the system's QoS registry before the first submission). An empty
-/// roster leaves every request on the root tenant — byte-identical to
-/// [`stream_memif_logged`]. `memifctl move --tenants N` builds on this.
-///
-/// # Panics
-///
-/// Panics if any request fails while no fault plan is installed, or if
-/// any request never completes.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_tenants_logged(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-    tenants: &[(u16, u32)],
-) -> LoggedStream {
-    run_stream(
-        bigfast_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        faults,
-        true,
-        tenants,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_stream(
-    topo: Topology,
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    pool: usize,
-    faults: Option<memif::FaultPlan>,
-    log_events: bool,
-    tenants: &[(u16, u32)],
-) -> LoggedStream {
+pub fn run_stream(spec: &StreamSpec) -> LoggedStream {
     struct State {
         memif: Memif,
-        kind: ShapeKind,
-        page_size: PageSize,
-        pages: u32,
+        spec: StreamSpec,
         submitted: usize,
         completed: usize,
-        count: usize,
         // Region pool; for migration, tracks which node each sits on.
         regions: Vec<(memif::VirtAddr, memif::VirtAddr, NodeId)>,
         completion_times: Vec<SimTime>,
         finished_at: Option<SimTime>,
-        chaos: bool,
         failed: u64,
-        // Round-robin tenant roster; empty = everything on the root
-        // tenant (the classic single-tenant runs).
-        tenants: Vec<memif::TenantId>,
     }
 
-    let mut sys = System::with_profile(topo, cost.clone());
-    if log_events {
+    let mut sys = System::with_profile(spec.topology.clone(), spec.cost.clone());
+    if spec.log_events {
         sys.enable_event_log();
     }
     let mut sim = Sim::new();
     let space = sys.new_space();
-    let memif = Memif::open(&mut sys, space, memif_config).unwrap();
-    let chaos = faults.is_some();
-    for (id, weight) in tenants {
-        sys.qos.register(
-            memif::TenantId(*id),
-            memif::TenantConfig {
-                weight: *weight,
-                ..memif::TenantConfig::default()
-            },
-        );
+    let memif = Memif::open(&mut sys, space, spec.config.clone()).unwrap();
+    for &(id, weight) in &spec.tenants {
+        let config = memif::TenantConfig {
+            weight,
+            ..memif::TenantConfig::default()
+        };
+        sys.qos.register(memif::TenantId(id), config);
     }
-    if let Some(plan) = faults {
+    if let Some(plan) = spec.faults.clone() {
         sys.install_faults(&mut sim, plan);
     }
 
-    let window = window.min(count).max(1);
-    // Callers that don't care pass `pool == window`, reproducing the
-    // classic ping-pong over exactly `window` regions.
-    let pool = pool.min(count).max(window);
-    let mut regions = Vec::with_capacity(pool);
-    for _ in 0..pool {
-        let src = sys.mmap(space, pages, page_size, NodeId(0)).unwrap();
-        let dst = match kind {
-            ShapeKind::Replicate => sys.mmap(space, pages, page_size, NodeId(1)).unwrap(),
-            ShapeKind::Migrate => memif::VirtAddr::new(0),
-        };
-        regions.push((src, dst, NodeId(0)));
-    }
-
+    let (kind, page_size, pages, count) = (spec.kind, spec.page_size, spec.pages, spec.count);
+    let window = spec.window.min(count).max(1);
+    let pool = spec.pool.unwrap_or(window).min(count).max(window);
+    let regions = (0..pool)
+        .map(|_| {
+            let src = sys.mmap(space, pages, page_size, NodeId(0)).unwrap();
+            let dst = match kind {
+                ShapeKind::Replicate => sys.mmap(space, pages, page_size, NodeId(1)).unwrap(),
+                ShapeKind::Migrate => memif::VirtAddr::new(0),
+            };
+            (src, dst, NodeId(0))
+        })
+        .collect();
     let state = Rc::new(RefCell::new(State {
         memif,
-        kind,
-        page_size,
-        pages,
+        spec: spec.clone(),
         submitted: 0,
         completed: 0,
-        count,
         regions,
         completion_times: vec![SimTime::ZERO; count],
         finished_at: None,
-        chaos,
         failed: 0,
-        tenants: tenants.iter().map(|(id, _)| memif::TenantId(*id)).collect(),
     }));
 
     fn submit_next(state: &Rc<RefCell<State>>, sys: &mut System, sim: &mut Sim<System>) {
-        let (memif, spec, idx) = {
-            let mut st = state.borrow_mut();
-            if st.submitted >= st.count {
-                return;
+        let mut st = state.borrow_mut();
+        if st.submitted >= st.spec.count {
+            return;
+        }
+        let idx = st.submitted;
+        st.submitted += 1;
+        let slot = idx % st.regions.len();
+        let (src, dst, node) = st.regions[slot];
+        let (pages, page_size) = (st.spec.pages, st.spec.page_size);
+        let mut spec = match st.spec.kind {
+            ShapeKind::Replicate => MoveSpec::replicate(src, dst, pages, page_size),
+            ShapeKind::Migrate => {
+                // Ping-pong: each region alternates between the nodes.
+                let target = NodeId(1 - node.0);
+                st.regions[slot].2 = target;
+                MoveSpec::migrate(src, pages, page_size, target)
             }
-            let idx = st.submitted;
-            st.submitted += 1;
-            let slot = idx % st.regions.len();
-            let (src, dst, node) = st.regions[slot];
-            let spec = match st.kind {
-                ShapeKind::Replicate => MoveSpec::replicate(src, dst, st.pages, st.page_size),
-                ShapeKind::Migrate => {
-                    let target = if node == NodeId(0) {
-                        NodeId(1)
-                    } else {
-                        NodeId(0)
-                    };
-                    st.regions[slot].2 = target;
-                    MoveSpec::migrate(src, st.pages, st.page_size, target)
-                }
-            }
-            .with_user_data(idx as u64);
-            let spec = if st.tenants.is_empty() {
-                spec
-            } else {
-                spec.with_tenant(st.tenants[idx % st.tenants.len()])
-            };
-            (st.memif, spec, idx)
-        };
-        let _ = idx;
-        let (_, _cpu) = spec_submit(state, memif, sys, sim, spec);
-    }
-
-    fn spec_submit(
-        state: &Rc<RefCell<State>>,
-        memif: Memif,
-        sys: &mut System,
-        sim: &mut Sim<System>,
-        spec: MoveSpec,
-    ) -> (memif::ReqId, SimDuration) {
-        let _ = state;
-        memif.submit(sys, sim, spec).expect("stream submission")
+        }
+        .with_user_data(idx as u64);
+        if let Some(&(id, _)) = st.spec.tenants.get(idx % st.spec.tenants.len().max(1)) {
+            spec = spec.with_tenant(memif::TenantId(id));
+        }
+        let memif = st.memif;
+        drop(st);
+        memif.submit(sys, sim, spec).expect("stream submission");
     }
 
     fn pump(state: Rc<RefCell<State>>, sys: &mut System, sim: &mut Sim<System>) {
@@ -703,16 +426,15 @@ fn run_stream(
             let mut st = state.borrow_mut();
             if !c.status.is_ok() {
                 assert!(
-                    st.chaos,
+                    st.spec.faults.is_some(),
                     "stream request failed without faults: {:?}",
                     c.status
                 );
                 st.failed += 1;
             }
-            let idx = c.user_data as usize;
-            st.completion_times[idx] = sim.now();
+            st.completion_times[c.user_data as usize] = sim.now();
             st.completed += 1;
-            if st.completed == st.count {
+            if st.completed == st.spec.count {
                 st.finished_at = Some(sim.now());
                 return;
             }
@@ -733,8 +455,7 @@ fn run_stream(
     sim.run(&mut sys);
 
     let st = state.borrow();
-    let finished = st.finished_at.expect("all requests completed");
-    let wall = finished.since(t0);
+    let wall = st.finished_at.expect("all requests completed").since(t0);
     let bytes = u64::from(pages) * page_size.bytes() * count as u64;
     let dev = sys.device(st.memif.device()).unwrap();
     let statuses = dev
@@ -748,14 +469,7 @@ fn run_stream(
         wall,
         throughput_gbps: bytes as f64 / wall.as_ns().max(1) as f64,
         completion_times: st.completion_times.clone(),
-        ioctls: dev.stats.ioctls,
-        interrupts: dev.stats.interrupts,
-        polled: dev.stats.polled,
         cpu_usage: sys.meter.cpu_busy().as_ns() as f64 / wall.as_ns().max(1) as f64,
-        retries: dev.stats.retries,
-        fallbacks: dev.stats.fallbacks,
-        timeouts: dev.stats.timeouts,
-        dma_errors: dev.stats.dma_errors,
         failed: st.failed,
         stats: dev.stats.clone(),
         worker_busy: sys.meter.workers().to_vec(),
@@ -811,6 +525,10 @@ pub struct CrashOutcome {
 /// DDR→NVM, odd cookies NVM→DDR, one region each, alternating
 /// `submit`/`submit_background` — optionally crashing per `crash`, then
 /// recovering and driving every request to exactly one terminal status.
+/// Returns the outcome plus, with `log_events`, the JSON-lines event log
+/// spanning the crash, the recovery (one `"recover"` record), and the
+/// post-crash re-drive; two runs of the same inputs produce
+/// byte-identical logs.
 ///
 /// The post-crash application protocol is the write-ahead-log contract:
 /// requests the recovery report shows as `Done` are **not** re-driven;
@@ -824,38 +542,6 @@ pub struct CrashOutcome {
 /// Panics if any request fails or the run does not quiesce.
 #[must_use]
 pub fn crash_migrate_nvm(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    crash: Option<CrashPlan>,
-) -> CrashOutcome {
-    crash_migrate_nvm_inner(cost, memif_config, page_size, pages, count, crash, false).0
-}
-
-/// [`crash_migrate_nvm`] with the typed event log enabled: returns the
-/// outcome plus the JSON-lines event log spanning the crash, the
-/// recovery (one `"recover"` record), and the post-crash re-drive. Two
-/// runs of the same scenario produce byte-identical logs; `memifctl
-/// recover --trace-events` and its replay check build on this.
-///
-/// # Panics
-///
-/// As [`crash_migrate_nvm`].
-#[must_use]
-pub fn crash_migrate_nvm_logged(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    crash: Option<CrashPlan>,
-) -> (CrashOutcome, Vec<String>) {
-    crash_migrate_nvm_inner(cost, memif_config, page_size, pages, count, crash, true)
-}
-
-fn crash_migrate_nvm_inner(
     cost: &CostModel,
     mut memif_config: MemifConfig,
     page_size: PageSize,
@@ -873,13 +559,7 @@ fn crash_migrate_nvm_inner(
     let space = sys.new_space();
     let memif = Memif::open(&mut sys, space, memif_config).unwrap();
     if let Some(plan) = crash {
-        sys.install_faults(
-            &mut sim,
-            FaultPlan {
-                crash: Some(plan),
-                ..FaultPlan::default()
-            },
-        );
+        sys.install_faults(&mut sim, FaultPlan::crash_at(plan.point, plan.nth));
     }
 
     // One region per request; even cookies start on DDR and migrate to
@@ -972,16 +652,11 @@ fn crash_migrate_nvm_inner(
     }
     assert!(!sys.crashed(), "a crash plan fires at most once");
 
-    let statuses: Vec<(u64, MoveStatus)> = statuses
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            (
-                i as u64,
-                s.unwrap_or_else(|| panic!("cookie {i} never terminal")),
-            )
-        })
-        .collect();
+    let never = |i| panic!("cookie {i} never terminal");
+    let statuses = (0..)
+        .zip(statuses)
+        .map(|(i, s)| (i, s.unwrap_or_else(|| never(i))));
+    let statuses = statuses.collect();
     let mut placement = Vec::with_capacity(count);
     let mut fingerprint = Vec::with_capacity(count * pages as usize);
     for va in &regions {
@@ -1018,12 +693,7 @@ fn crash_migrate_nvm_inner(
         journal_records,
         wall: sim.now().since(SimTime::ZERO),
     };
-    let events = if log_events {
-        sys.take_event_log()
-    } else {
-        Vec::new()
-    };
-    (outcome, events)
+    (outcome, sys.take_event_log())
 }
 
 /// Streams `count` migrations through Linux `mbind`, batching `batch`
@@ -1045,15 +715,13 @@ pub fn stream_linux(
     let mut meter = memif_hwsim::UsageMeter::new();
 
     // Region pool ping-pongs like the memif driver above.
-    let pool = batch.max(1);
-    let mut regions: Vec<(memif::VirtAddr, NodeId)> = (0..pool)
-        .map(|_| {
-            (
-                sys.mmap(space, pages, page_size, NodeId(0)).unwrap(),
-                NodeId(0),
-            )
-        })
-        .collect();
+    let mmap = |_| {
+        (
+            sys.mmap(space, pages, page_size, NodeId(0)).unwrap(),
+            NodeId(0),
+        )
+    };
+    let mut regions: Vec<(memif::VirtAddr, NodeId)> = (0..batch.max(1)).map(mmap).collect();
 
     let mut now = SimTime::ZERO;
     let mut completion_times = Vec::with_capacity(count);
@@ -1062,19 +730,15 @@ pub fn stream_linux(
     while done < count {
         let n = batch.min(count - done);
         let mut reqs = Vec::with_capacity(n);
-        for r in regions.iter_mut().take(n) {
-            let target = if r.1 == NodeId(0) {
-                NodeId(1)
-            } else {
-                NodeId(0)
-            };
+        for (start, node) in regions.iter_mut().take(n) {
+            *node = NodeId(1 - node.0);
+            let dst_node = *node;
             reqs.push(RegionRequest {
-                start: r.0,
+                start: *start,
                 pages,
                 page_size,
-                dst_node: target,
+                dst_node,
             });
-            r.1 = target;
         }
         let out = {
             let (spaces, alloc, phys) = sys.split_for_baseline();
@@ -1085,9 +749,7 @@ pub fn stream_linux(
         // Requests complete inside the syscall, but the *application*
         // only learns at syscall exit — which is what latency means to
         // it (§6.4).
-        for _ in 0..n {
-            completion_times.push(now + out.duration);
-        }
+        completion_times.extend(std::iter::repeat_n(now + out.duration, n));
         now += out.duration;
         done += n;
     }
@@ -1100,21 +762,11 @@ pub fn stream_linux(
         wall,
         throughput_gbps: bytes as f64 / wall.as_ns().max(1) as f64,
         completion_times,
-        ioctls: syscalls,
-        interrupts: 0,
-        polled: 0,
         cpu_usage: 1.0,
-        retries: 0,
-        fallbacks: 0,
-        timeouts: 0,
-        dma_errors: 0,
-        failed: 0,
-        stats: memif::DriverStats::default(),
-        worker_busy: Vec::new(),
-        tiers: Vec::new(),
-        events_executed: 0,
-        events_cancelled: 0,
-        peak_pending: 0,
-        tenant_stats: Vec::new(),
+        stats: memif::DriverStats {
+            ioctls: syscalls,
+            ..memif::DriverStats::default()
+        },
+        ..StreamResult::default()
     }
 }

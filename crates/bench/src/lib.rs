@@ -5,17 +5,24 @@
 //! | target | experiment |
 //! |---|---|
 //! | `sec2_microbench` | §2.2 Linux page-migration throughput (ARM + Xeon) |
+//! | `fig5_timeline`   | Figure 5: an execution timeline across the driver's contexts |
 //! | `fig6_breakdown`  | Figure 6: per-request time breakdown + CPU usage |
 //! | `fig7_latency`    | Figure 7: completion latency, memif vs batched mbind |
 //! | `fig8_throughput` | Figure 8: move throughput across page granularities |
 //! | `tab4_streaming`  | Table 4: streaming workloads on the mini runtime |
 //! | `tab3_sloc`       | Table 3 analogue: source-line inventory |
 //! | `ablation`        | A1–A4: descriptor reuse, gang lookup, race mode, poll threshold |
+//! | `multi_tenant_scaling` | multi-application scaling (§6.7's unevaluated feature) |
+//! | `future_platform` | E9: §6.7's emerging-platform prediction, tested |
 //! | `e10_degraded`    | E10: throughput under injected DMA faults (degraded mode) |
 //! | `e12_batching`    | E12: request batching + segment coalescing on the issue path |
 //! | `e13_issue_scaling` | E13: aggregate move rate vs issue shards |
 //! | `e14_policy`      | E14: hot/cold placement — none vs sync vs async daemon |
 //! | `e15_recovery`    | E15: journal overhead + crash/recover exactly-once convergence |
+//! | `e16_waterfall`   | E16: ranked-tier waterfall placement vs the 2-tier daemon |
+//! | `e17_simspeed`    | E17: event-core dispatch speed — timing wheel vs heap |
+//! | `e18_overlap`     | E18: overlap-depth pipelined streaming + the real-thread futures front-end |
+//! | `e19_qos`         | E19: multi-tenant QoS — antagonist isolation and weighted shares |
 //!
 //! Criterion micro-benches (`cargo bench`) cover the real data
 //! structures: the red–blue queue, gang lookup, DMA configuration, and
@@ -31,10 +38,8 @@ pub mod harness;
 pub mod table;
 
 pub use harness::{
-    bigfast_topology, crash_migrate_nvm, crash_migrate_nvm_logged, hugefast_topology, nvm_topology,
-    probe_linux_once, probe_memif_once, stream_linux, stream_memif, stream_memif_logged,
-    stream_memif_nvm, stream_memif_pooled, stream_memif_tenants, stream_memif_tenants_logged,
-    stream_memif_with_faults, CrashOutcome, LoggedStream,
-    ProbeResult, StreamResult,
+    bigfast_topology, crash_migrate_nvm, hugefast_topology, nvm_topology, probe_linux_once,
+    probe_memif_once, run_stream, stream_linux, CrashOutcome, LoggedStream, ProbeResult,
+    StreamResult, StreamSpec,
 };
 pub use table::{mbs, results_dir, Table};

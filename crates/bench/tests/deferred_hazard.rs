@@ -11,8 +11,7 @@
 //! conflicting request defers until the in-flight one retires.
 
 use memif::{FaultPlan, MemifConfig};
-use memif_bench::stream_memif_with_faults;
-use memif_hwsim::CostModel;
+use memif_bench::{run_stream, StreamSpec};
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
 
@@ -20,7 +19,6 @@ use memif_workloads::ShapeKind;
 /// errors plus 1% lost completion interrupts, seed 9. Deterministic.
 #[test]
 fn lost_batch_completion_does_not_race_region_reuse() {
-    let cost = CostModel::keystone_ii();
     let config = MemifConfig {
         batch_max: 16,
         coalesce: true,
@@ -31,16 +29,12 @@ fn lost_batch_completion_does_not_race_region_reuse() {
         drop_rate: 0.01,
         ..FaultPlan::new(9)
     };
-    let run = stream_memif_with_faults(
-        &cost,
+    let run = run_stream(&StreamSpec {
         config,
-        ShapeKind::Migrate,
-        PageSize::Small4K,
-        16,
-        256,
-        32,
-        Some(plan),
-    );
+        faults: Some(plan),
+        ..StreamSpec::new(ShapeKind::Migrate, PageSize::Small4K, 16, 256, 32)
+    })
+    .result;
     assert_eq!(run.requests, 256, "every request reaches a terminal state");
     assert_eq!(
         run.failed, 0,
@@ -63,23 +57,14 @@ fn lost_batch_completion_does_not_race_region_reuse() {
 /// precisely the hazard the guard serializes.)
 #[test]
 fn fault_free_streams_never_defer() {
-    let cost = CostModel::keystone_ii();
     for (batch_max, coalesce) in [(1, false), (16, true)] {
         let config = MemifConfig {
             batch_max,
             coalesce,
             ..MemifConfig::default()
         };
-        let run = stream_memif_with_faults(
-            &cost,
-            config,
-            ShapeKind::Migrate,
-            PageSize::Small4K,
-            16,
-            128,
-            32,
-            None,
-        );
+        let spec = StreamSpec::new(ShapeKind::Migrate, PageSize::Small4K, 16, 128, 32);
+        let run = run_stream(&StreamSpec { config, ..spec }).result;
         assert_eq!(run.failed, 0);
         assert_eq!(
             run.stats.requests_deferred, 0,

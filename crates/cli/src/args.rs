@@ -1,14 +1,14 @@
 //! A minimal `--flag value` argument parser (the allowed dependency set
 //! has no CLI crate; this keeps `memifctl --help` honest without one).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Default)]
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: Option<String>,
-    opts: HashMap<String, String>,
+    opts: BTreeMap<String, String>,
 }
 
 impl Args {
@@ -16,15 +16,17 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns a message for a dangling `--flag` without a value or for
-    /// stray positional arguments after the subcommand.
+    /// Returns a message for a dangling `--flag` without a value, a flag
+    /// given twice, or stray positional arguments after the subcommand.
     pub fn parse(input: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
         let mut it = input.peekable();
         while let Some(tok) = it.next() {
             if let Some(key) = tok.strip_prefix("--") {
                 let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                args.opts.insert(key.to_owned(), value);
+                if args.opts.insert(key.to_owned(), value).is_some() {
+                    return Err(format!("--{key} given more than once"));
+                }
             } else if args.command.is_none() {
                 args.command = Some(tok);
             } else {
@@ -34,8 +36,9 @@ impl Args {
         Ok(args)
     }
 
-    /// Builds an `Args` from pre-parsed `key=value` pairs — the replay
-    /// path reconstructs the original command line from a trace header.
+    /// Builds an `Args` from pre-parsed `key=value` pairs, a later pair
+    /// overriding an earlier one — the replay path reconstructs a command
+    /// line from a trace header plus its own flags.
     #[must_use]
     pub fn from_pairs(command: &str, pairs: impl IntoIterator<Item = (String, String)>) -> Args {
         Args {
@@ -48,6 +51,20 @@ impl Args {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
         self.opts.get(key).map(String::as_str)
+    }
+
+    /// Every `(flag, value)` given, in flag order.
+    pub fn pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.opts.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+
+    /// The first flag given that is not in `declared`, if any.
+    #[must_use]
+    pub fn undeclared(&self, declared: &[&str]) -> Option<&str> {
+        self.opts
+            .keys()
+            .map(String::as_str)
+            .find(|k| !declared.contains(k))
     }
 
     /// Typed option with a default.
@@ -63,26 +80,12 @@ impl Args {
                 .map_err(|_| format!("--{key}: cannot parse '{v}'")),
         }
     }
-
-    /// Page size option (`4k`, `64k`, `2m`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for unknown sizes.
-    pub fn page_size(&self, default: memif_mm::PageSize) -> Result<memif_mm::PageSize, String> {
-        match self.get("page-size") {
-            None => Ok(default),
-            Some("4k" | "4K") => Ok(memif_mm::PageSize::Small4K),
-            Some("64k" | "64K") => Ok(memif_mm::PageSize::Medium64K),
-            Some("2m" | "2M") => Ok(memif_mm::PageSize::Large2M),
-            Some(other) => Err(format!("--page-size: unknown size '{other}' (4k|64k|2m)")),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{RunSpec, SpecError};
 
     fn parse(s: &str) -> Result<Args, String> {
         Args::parse(s.split_whitespace().map(str::to_owned))
@@ -108,22 +111,41 @@ mod tests {
     }
 
     #[test]
-    fn page_sizes() {
-        use memif_mm::PageSize;
-        assert_eq!(
-            parse("x --page-size 64k")
-                .unwrap()
-                .page_size(PageSize::Small4K)
-                .unwrap(),
-            PageSize::Medium64K
+    fn repeated_flag_is_an_error() {
+        let err = parse("move --count 4 --count 8").unwrap_err();
+        assert!(
+            err.contains("--count") && err.contains("more than once"),
+            "{err}"
         );
+        // The same value twice is still a repeat.
+        assert!(parse("move --count 4 --count 4").is_err());
+    }
+
+    #[test]
+    fn undeclared_flag_on_move_is_an_error() {
+        let a = parse("move --batchmax 8").unwrap();
+        assert_eq!(a.undeclared(&["batch-max"]), Some("batchmax"));
         assert_eq!(
-            parse("x").unwrap().page_size(PageSize::Small4K).unwrap(),
-            PageSize::Small4K
+            RunSpec::parse("move", &a, &["trace-events"]),
+            Err(SpecError::Undeclared {
+                cmd: "move".to_owned(),
+                flag: "batchmax".to_owned()
+            })
         );
-        assert!(parse("x --page-size 1g")
-            .unwrap()
-            .page_size(PageSize::Small4K)
-            .is_err());
+        // A flag another command declares is just as foreign here.
+        let a = parse("move --overlap-depth 4").unwrap();
+        assert!(matches!(
+            RunSpec::parse("move", &a, &["trace-events"]),
+            Err(SpecError::Undeclared { flag, .. }) if flag == "overlap-depth"
+        ));
+    }
+
+    #[test]
+    fn later_pairs_override_earlier_ones() {
+        let pairs = [("count", "8"), ("pages", "4"), ("count", "9")]
+            .map(|(k, v)| (k.to_owned(), v.to_owned()));
+        let a = Args::from_pairs("move", pairs);
+        assert_eq!(a.get("count"), Some("9"));
+        assert_eq!(a.pairs().count(), 2);
     }
 }

@@ -1,47 +1,16 @@
 //! `memifctl` — drive the simulated memif stack from the command line.
-//!
-//! ```text
-//! memifctl topology [--profile keystone|xeon]
-//! memifctl migspeed [--pages 1500] [--batches 1] [--page-size 4k] [--profile keystone|xeon]
-//! memifctl move     [--kind migrate|replicate] [--pages 16] [--count 64]
-//!                   [--page-size 4k] [--window 8] [--no-reuse true] [--no-gang true]
-//!                   [--fault-seed N] [--dma-error-rate R] [--drop-rate R]
-//!                   [--delay-rate R] [--desc-exhaust-rate R] [--max-retries N]
-//!                   [--no-fallback true] [--tc-count N] [--trace-events PATH]
-//!                   [--batch-max N] [--no-coalesce true] [--issue-shards S]
-//!                   [--tenants N] [--tenant-weights a,b,...] [--qos true]
-//! memifctl stats    [same flags as move] [--json true]
-//! memifctl policy   [--mode none|sync|async] [--regions 24] [--pages 64]
-//!                   [--phases 6] [--hot 8] [--carry 3] [--ticks 32]
-//!                   [--tiers 2] [--policy-tiers 0] [--warm 0]
-//!                   [--epoch-us 1000] [--max-inflight 4] [--seed 42]
-//!                   [--fault-seed N] [--dma-error-rate R] [--drop-rate R]
-//!                   [--trace-events PATH] [--json true]
-//! memifctl recover  [--crash-point none|submit|post-launch|mid-chain|pre-retire|post-retire]
-//!                   [--crash-nth N] [--pages 8] [--count 12] [--page-size 4k]
-//!                   [--batch-max 4] [--no-coalesce true] [--issue-shards S]
-//!                   [--trace-events PATH] [--json true]
-//! memifctl replay   --from PATH
-//! memifctl stream   [--kernel triad|add|pgain|all] [--placement memif|linux|both]
-//!                   [--input-mib 64] [--overlap-depth K] [--threads M]
-//!                   [--trace-events PATH]
-//! memifctl timeline [--pages 16] [--count 2]
-//! ```
+//! `memifctl help` lists the commands and every run flag with its
+//! default; [`spec`] holds the one description of a recorded run.
 
 mod args;
+mod spec;
 
 use args::Args;
-use memif::{
-    Context, CrashPlan, CrashPoint, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System,
-};
+use memif::{Context, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System};
 use memif_baseline::{run_migspeed, MigspeedConfig};
-use memif_bench::{
-    crash_migrate_nvm_logged, stream_memif_tenants, stream_memif_tenants_logged, Table,
-};
+use memif_bench::Table;
 use memif_hwsim::{CostModel, Topology};
-use memif_policy::{run_scenario, Mode, PolicyConfig, ScenarioConfig};
-use memif_runtime::{KernelProfile, Placement, StreamConfig, StreamReport, StreamRuntime};
-use memif_workloads::{stream_add, stream_triad, streamcluster_pgain, wordcount_like, ShapeKind};
+use spec::{flag, kernel_profile, read_trace, write_trace, Report, RunSpec, SpecError, Token};
 
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -60,6 +29,9 @@ fn main() {
         Some("timeline") => timeline(&args),
         Some("help") | None => {
             print!("{HELP}");
+            for cmd in ["move", "policy", "recover", "stream"] {
+                println!("\n{cmd} flags:{}", RunSpec::usage(cmd));
+            }
             Ok(())
         }
         Some(other) => Err(format!("unknown command '{other}'\n{HELP}")),
@@ -76,118 +48,59 @@ commands:
   topology   show the pseudo-NUMA memory topology
   migspeed   Linux page-migration throughput (the numactl utility)
   move       stream memif move requests and report throughput/latency
-  stats      run a move scenario and dump the full driver counter set
+  stats      run a move (its flags + --json) and dump every driver counter
   policy     run the hot/cold placement daemon over a phased workload
   recover    crash a journaled DDR<->NVM run, recover, and re-drive it
   replay     re-run a recorded trace and verify it is bit-identical
   stream     run a Table 4 streaming workload on the mini runtime
   timeline   trace a short run across the driver's execution contexts
-  help       this text
+  help       this text, then every run flag with its default
 
-common flags: --profile keystone|xeon, --page-size 4k|64k|2m
+A flag a command does not declare, or a flag given twice, is an error.
 
-chaos mode (move): install a deterministic fault plan and watch the
-hardened driver absorb it, e.g.
+chaos (move/policy): a deterministic fault plan the hardened driver
+absorbs; rates are probabilities. --no-fallback true fails requests
+instead of degrading to the CPU copy; --tc-count N models N transfer
+channels (1, the paper's configuration, by default):
   memifctl move --fault-seed 7 --dma-error-rate 1e-3 --drop-rate 1e-4
-flags: --fault-seed N, --dma-error-rate R, --drop-rate R, --delay-rate R,
---desc-exhaust-rate R, --max-retries N (default 3), --no-fallback true
-(fail requests instead of degrading to the CPU copy).
 
-multi-channel DMA (move): --tc-count N models N independent transfer-
-controller bandwidth channels (default 1, the paper's configuration);
-launches are routed to the least-loaded channel.
+issue path (move/stats/recover): --batch-max N drains up to N queued
+requests into one chained launch, coalescing contiguous segments unless
+--no-coalesce true; --batch-rearm true also dedupes same-instant worker
+wake timers (off by default: it shrinks the event stream).
+--issue-shards S splits the queues and kernel worker into S shards,
+routed by VMA so same-region requests keep FIFO order. --tenants N tags
+requests round-robin across N tenants weighted by --tenant-weights
+a,b,...; --qos (on with a roster) schedules them weighted-fair.
 
-request batching (move/stats): --batch-max N lets the kernel thread
-drain up to N compatible queued requests into one chained SG launch
-with a single completion interrupt (default 1 = classic per-request
-issue). Batched runs also coalesce physically contiguous segments into
-one descriptor; --no-coalesce true keeps one descriptor per page.
-`memifctl stats --batch-max 16` shows the issue-side savings.
---batch-rearm true additionally dedupes same-instant kernel-worker
-wake timers on the completion fan-out path (counted as
-timer_rearm_saved in `memifctl stats --json`); it shrinks the executed
-event stream, so it defaults off to keep recorded traces replayable
-event-for-event.
-
-pipelined streaming (stream): --overlap-depth K splits every prefetch
-buffer into K independently filled sub-units (K refills in flight per
-buffer), so a unit is consumable after 1/K of the buffer's bytes and a
-slow-path fallback wastes only 1/K of the in-flight DMA. K must divide
-the 64-page buffer; depth 1 is the classic §6.6 one-fill-per-buffer
-mode. Deep runs (K > 2) pair the finer units with paired issue
-batching and batched timer rearm. --threads M appends a real-thread
-stress section: M OS producer threads drive the same lock-free
-red-blue submission protocol through the memif-rt futures front-end
-and report kick/syscall-free counts. --trace-events records a
-single-kernel, single-placement run for `memifctl replay`:
+streaming (stream): --overlap-depth K fills each 64-page prefetch
+buffer as K independent units; --threads M adds M real producer threads
+on the memif-rt futures front-end. --kernel all and --placement both
+(the defaults) run the whole table; a trace needs one of each:
   memifctl stream --kernel triad --placement memif --overlap-depth 4
-  memifctl stream --threads 8
 
-sharded issue path (move/stats): --issue-shards S (default 1) splits
-the staging/submission queue pair and the kernel worker into S shards,
-each worker modelling its own CPU. Submissions are routed by the
-covering VMA's base address, so same-region requests keep their FIFO
-order on one shard while disjoint tenants issue in parallel; a
-device-wide in-flight index still serializes the rare cross-shard
-overlap (`cross_shard_deferred` in `memifctl stats`).
-
-placement policy (policy): a kernel-style daemon samples PTE accessed
-bits each --epoch-us, tracks exponentially-decayed per-region heat, and
-repairs placement with demote-before-promote moves capped by
---max-inflight, all under the fast node's capacity watermark. --mode
-selects how its moves execute: `async` (default) rides the blue
-background queue while the app keeps computing; `sync` parks the app
-whenever a move is outstanding (the mbind-style comparator); `none`
-disables moves entirely. The phased workload is shaped by --regions,
---pages, --phases, --hot, --carry, --ticks, and --seed; chaos flags
-apply as in move. `cargo run --bin e14_policy` compares all three.
-
-ranked tiers (policy): --tiers N (default 2) sizes the machine. 2 runs
-the classic KeyStone II fast/slow pair; 3 or 4 run the ranked ladder
-SRAM > DRAM > NVM > compressed zram, where the daemon plays the
-*waterfall*: hot regions climb one rank, cold regions sink one rank,
-and frozen regions plunge to the compressed floor via chained
-multi-hop moves (compress/decompress work is costed). --warm N adds a
-warm halo to each phase (touched at quarter intensity every tick) so
-the middle tiers have something to earn, and --policy-tiers M (default
-0 = all) restricts the daemon to the top M-1 ranks plus the pool's
-home tier — the classic 2-tier comparator on a tall machine. Per-tier
-occupancy lands in `policy --json` under the stable `tiers` array.
-Quickstart:
+placement (policy): a daemon samples PTE accessed bits each --epoch-us
+and repairs placement with at most --max-inflight moves. --mode async
+rides the background queue, sync parks the app, none disables moves.
+--tiers 3|4 runs the SRAM > DRAM > NVM > zram ladder as a waterfall;
+--warm N adds a warm halo; --policy-tiers M limits the daemon's ranks:
   memifctl policy --tiers 4 --warm 12 --regions 32 --json true
-`cargo run --release -p memif-bench --bin e16_waterfall` compares the
-regimes.
 
-crash recovery (recover): runs a journaled migration stream that
-ping-pongs between DDR and the persistent NVM node, optionally halting
-the world at a deterministic lifecycle point (--crash-point, fired on
-its --crash-nth crossing), then reboots via the write-ahead move
-journal and re-drives every request to exactly one terminal status:
+recovery (recover): halts the run at --crash-point on its --crash-nth
+crossing, reboots through the write-ahead journal, and re-drives every
+request to exactly one terminal status:
   memifctl recover --crash-point mid-chain --crash-nth 2
---crash-point none (the default) runs the uncrashed reference. The
-journal counters also appear in `memifctl stats --json` under the
-stable keys journal_records, recovered_requests, rolled_back, and
-redriven.
 
-machine-readable stats (stats/policy/recover): --json true prints the
-run's counters as a single stable-key JSON object instead of a table,
-for scripting and CI assertions. stats and policy objects also carry a
-`tiers` array — one {rank, kind, used_bytes, capacity_bytes, moves_in,
-moves_out} object per memory tier, rank 0 fastest.
+--json true (stats/policy/recover) prints one stable-key JSON object.
 
-event traces (move/policy): --trace-events <path> records the run's
-typed event log as JSON lines (one `#!` header, one `#=`
-terminal-status line per request). `memifctl replay --from <path>`
-re-runs the scenario from the header and verifies every event and
-terminal status byte-for-byte:
+traces (move/policy/recover/stream): --trace-events PATH writes a `#!`
+header listing every flag of the run, one typed event per line, and
+one `#= <req> <status>` line per request. `replay --from PATH` re-runs
+the header's run and checks every event and status byte-for-byte. It
+accepts any flag of the recorded command only at its recorded value: a
+differing value is an error naming the flag and the recorded value.
   memifctl move --fault-seed 7 --dma-error-rate 1e-3 --trace-events t.jsonl
   memifctl replay --from t.jsonl
-Policy traces replay the same way, including the daemon's epoch hooks
-and every policy move's terminal status. Recover traces span the
-crash, the reboot ('recover' record), and the post-crash re-drive, and
-must also replay byte-for-byte.
-
-run `memifctl <command>` with defaults to see each report.
 ";
 
 fn die(msg: &str) -> ! {
@@ -195,18 +108,19 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn cost_profile(args: &Args) -> Result<CostModel, String> {
-    match args.get("profile") {
-        None | Some("keystone") => Ok(CostModel::keystone_ii()),
-        Some("xeon") => Ok(CostModel::xeon_e5()),
-        Some(other) => Err(format!(
-            "--profile: unknown profile '{other}' (keystone|xeon)"
-        )),
-    }
+/// Rejects flags a command that records no run does not declare (the
+/// others declare theirs in [`RunSpec`]).
+fn declare(args: &Args, flags: &[&str]) -> Result<(), String> {
+    let Some(flag) = args.undeclared(flags) else {
+        return Ok(());
+    };
+    let (cmd, flag) = (args.command.clone().unwrap_or_default(), flag.to_owned());
+    Err(SpecError::Undeclared { cmd, flag }.into())
 }
 
 fn topology(args: &Args) -> Result<(), String> {
-    let cost = cost_profile(args)?;
+    declare(args, &["profile", "booted"])?;
+    let cost = flag(args, "profile", CostModel::keystone_ii())?;
     let mut topo = Topology::keystone_ii();
     let mut table = Table::new(
         format!("memory topology (profile: {})", cost.name),
@@ -220,8 +134,7 @@ fn topology(args: &Args) -> Result<(), String> {
             "boot-visible",
         ],
     );
-    let booted = args.get_or("booted", true)?;
-    if booted {
+    if args.get_or("booted", true)? {
         topo.complete_boot();
     }
     for n in topo.all_nodes() {
@@ -246,13 +159,17 @@ fn topology(args: &Args) -> Result<(), String> {
 }
 
 fn migspeed(args: &Args) -> Result<(), String> {
-    let cost = cost_profile(args)?;
+    declare(
+        args,
+        &["profile", "pages", "batches", "page-size", "from", "to"],
+    )?;
+    let cost = flag(args, "profile", CostModel::keystone_ii())?;
     let mut topo = Topology::keystone_ii();
     topo.complete_boot();
     let config = MigspeedConfig {
         pages_per_syscall: args.get_or("pages", 1_500u32)?,
         batches: args.get_or("batches", 1u32)?,
-        page_size: args.page_size(PageSize::Small4K)?,
+        page_size: flag(args, "page-size", PageSize::Small4K)?,
         from: NodeId(args.get_or("from", 0u16)?),
         to: NodeId(args.get_or("to", 1u16)?),
     };
@@ -273,220 +190,21 @@ fn migspeed(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Everything a `move` run (or its replay) needs, resolved from flags
-/// or from a trace header.
-struct MoveScenario {
-    cost: memif_hwsim::CostModel,
-    config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    plan: Option<memif::FaultPlan>,
-    /// `(id, weight)` tenant roster; empty = single root tenant.
-    tenants: Vec<(u16, u32)>,
-}
-
-fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
-    let mut cost = cost_profile(args)?;
-    cost.dma_tc_count = args.get_or("tc-count", cost.dma_tc_count)?;
-    let kind = match args.get("kind") {
-        None | Some("migrate") => ShapeKind::Migrate,
-        Some("replicate") => ShapeKind::Replicate,
-        Some(other) => return Err(format!("--kind: unknown kind '{other}'")),
-    };
-    let batch_max = args.get_or("batch-max", 1usize)?;
-    // Coalescing rides batching: a batched run merges physically
-    // contiguous segments unless --no-coalesce true; the default
-    // (batch-max 1) keeps the classic one-descriptor-per-page path.
-    let no_coalesce = args.get_or("no-coalesce", false)?;
-    let issue_shards = args.get_or("issue-shards", 1usize)?;
-    if issue_shards == 0 || issue_shards > 64 {
-        return Err(format!(
-            "--issue-shards: {issue_shards} out of range (1..=64)"
-        ));
+/// Parses `cmd`'s run, runs it (recording the event log when
+/// `--trace-events` asks for a trace), and writes the trace.
+fn record(cmd: &str, args: &Args, extra: &[&str]) -> Result<(RunSpec, Report), String> {
+    let spec = RunSpec::parse(cmd, args, extra)?;
+    let path = args.get("trace-events");
+    let (log, report) = spec.run(path.is_some());
+    if let Some(path) = path {
+        write_trace(path, &spec, &log)?;
     }
-    // Multi-tenant shape: --tenants N tags requests round-robin across
-    // N tenants (ids 1..=N); --tenant-weights a,b,... sets their DRR
-    // weights (default: all 1); --qos turns weighted-fair scheduling +
-    // admission on (default: on exactly when more than one tenant).
-    let tenant_count = args.get_or("tenants", 1usize)?;
-    if tenant_count == 0 || tenant_count > 4096 {
-        return Err(format!("--tenants: {tenant_count} out of range (1..=4096)"));
-    }
-    let weights_raw = args.get("tenant-weights").unwrap_or("");
-    let weights: Vec<u32> = if weights_raw.is_empty() {
-        vec![1; tenant_count]
-    } else {
-        weights_raw
-            .split(',')
-            .map(|w| {
-                w.parse::<u32>()
-                    .ok()
-                    .filter(|w| *w >= 1)
-                    .ok_or_else(|| format!("--tenant-weights: bad weight '{w}' (need integers >= 1)"))
-            })
-            .collect::<Result<_, _>>()?
-    };
-    if weights.len() != tenant_count {
-        return Err(format!(
-            "--tenant-weights: {} weights for {tenant_count} tenants",
-            weights.len()
-        ));
-    }
-    let tenants: Vec<(u16, u32)> = if tenant_count == 1 && weights_raw.is_empty() {
-        Vec::new() // classic single-tenant run, byte-identical
-    } else {
-        (0..tenant_count).map(|i| (1 + i as u16, weights[i])).collect()
-    };
-    let qos = args.get_or("qos", !tenants.is_empty())?;
-    let config = MemifConfig {
-        descriptor_reuse: !args.get_or("no-reuse", false)?,
-        gang_lookup: !args.get_or("no-gang", false)?,
-        pipeline_depth: args.get_or("depth", 2usize)?,
-        max_dma_retries: args.get_or("max-retries", 3u32)?,
-        cpu_fallback: !args.get_or("no-fallback", false)?,
-        batch_max,
-        coalesce: batch_max > 1 && !no_coalesce,
-        issue_shards,
-        batch_rearm: args.get_or("batch-rearm", false)?,
-        qos,
-        ..MemifConfig::default()
-    };
-    let plan = memif::FaultPlan {
-        seed: args.get_or("fault-seed", 0u64)?,
-        dma_error_rate: args.get_or("dma-error-rate", 0.0f64)?,
-        drop_rate: args.get_or("drop-rate", 0.0f64)?,
-        delay_rate: args.get_or("delay-rate", 0.0f64)?,
-        desc_exhaust_rate: args.get_or("desc-exhaust-rate", 0.0f64)?,
-        ..memif::FaultPlan::default()
-    };
-    let s = MoveScenario {
-        cost,
-        config,
-        kind,
-        page_size: args.page_size(PageSize::Small4K)?,
-        pages: args.get_or("pages", 16u32)?,
-        count: args.get_or("count", 64usize)?,
-        window: args.get_or("window", 8usize)?,
-        plan: (!plan.is_noop()).then_some(plan),
-        tenants,
-    };
-    // Zeroes here would panic deep in the harness; catching them keeps
-    // a corrupt or hand-edited trace header a clean error (replay
-    // rebuilds its scenario through this same path).
-    for (flag, value) in [
-        ("pages", u64::from(s.pages)),
-        ("count", s.count as u64),
-        ("window", s.window as u64),
-    ] {
-        if value == 0 {
-            return Err(format!("--{flag}: must be at least 1"));
-        }
-    }
-    Ok(s)
-}
-
-/// The `#!` trace header: every flag replay needs to rebuild the run.
-fn trace_header(args: &Args, s: &MoveScenario) -> String {
-    let plan = s.plan.clone().unwrap_or_default();
-    format!(
-        "#! move kind={} page-size={} pages={} count={} window={} depth={} max-retries={} \
-         no-fallback={} no-reuse={} no-gang={} profile={} tc-count={} fault-seed={} \
-         dma-error-rate={} drop-rate={} delay-rate={} desc-exhaust-rate={} \
-         batch-max={} no-coalesce={} issue-shards={} batch-rearm={} \
-         tenants={} tenant-weights={} qos={}",
-        match s.kind {
-            ShapeKind::Migrate => "migrate",
-            ShapeKind::Replicate => "replicate",
-        },
-        match s.page_size {
-            PageSize::Small4K => "4k",
-            PageSize::Medium64K => "64k",
-            PageSize::Large2M => "2m",
-        },
-        s.pages,
-        s.count,
-        s.window,
-        s.config.pipeline_depth,
-        s.config.max_dma_retries,
-        !s.config.cpu_fallback,
-        !s.config.descriptor_reuse,
-        !s.config.gang_lookup,
-        args.get("profile").unwrap_or("keystone"),
-        s.cost.dma_tc_count,
-        plan.seed,
-        plan.dma_error_rate,
-        plan.drop_rate,
-        plan.delay_rate,
-        plan.desc_exhaust_rate,
-        s.config.batch_max,
-        s.config.batch_max > 1 && !s.config.coalesce,
-        s.config.issue_shards,
-        s.config.batch_rearm,
-        s.tenants.len().max(1),
-        s.tenants
-            .iter()
-            .map(|(_, w)| w.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        s.config.qos,
-    )
-}
-
-fn run_logged(s: &MoveScenario) -> memif_bench::LoggedStream {
-    stream_memif_tenants_logged(
-        &s.cost,
-        s.config.clone(),
-        s.kind,
-        s.page_size,
-        s.pages,
-        s.count,
-        s.window,
-        s.plan.clone(),
-        &s.tenants,
-    )
+    Ok((spec, report))
 }
 
 fn do_move(args: &Args) -> Result<(), String> {
-    let s = move_scenario(args)?;
-    let chaos = s.plan.is_some();
-    let batch_max = s.config.batch_max;
-    let (kind, pages, count) = (s.kind, s.pages, s.count);
-    let page_size = s.page_size;
-
-    let r = if let Some(path) = args.get("trace-events") {
-        let logged = run_logged(&s);
-        let mut out = String::new();
-        out.push_str(&trace_header(args, &s));
-        out.push('\n');
-        for line in &logged.events {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for (req, status) in &logged.statuses {
-            out.push_str(&format!("#= {req} {status}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            logged.events.len(),
-            logged.statuses.len()
-        );
-        logged.result
-    } else {
-        stream_memif_tenants(
-            &s.cost,
-            s.config,
-            s.kind,
-            s.page_size,
-            s.pages,
-            s.count,
-            s.window,
-            s.plan,
-            &s.tenants,
-        )
+    let (RunSpec::Move(s), Report::Move(r)) = record("move", args, &["trace-events"])? else {
+        unreachable!("move runs a move spec")
     };
     let mean_us = r
         .completion_times
@@ -496,20 +214,20 @@ fn do_move(args: &Args) -> Result<(), String> {
         / r.completion_times.len() as f64
         / 1e3;
     println!(
-        "{count} x {pages} {page_size} pages ({:?}): {:.3} GB/s, mean completion {:.1} us",
-        kind, r.throughput_gbps, mean_us
+        "{} x {} {} pages ({:?}): {:.3} GB/s, mean completion {:.1} us",
+        s.count, s.pages, s.page_size, s.kind, r.throughput_gbps, mean_us
     );
     println!(
         "syscalls: {}   interrupts: {}   polled: {}   cpu: {:.2} cores",
-        r.ioctls, r.interrupts, r.polled, r.cpu_usage
+        r.stats.ioctls, r.stats.interrupts, r.stats.polled, r.cpu_usage
     );
-    if chaos {
+    if s.faults.is_some() {
         println!(
             "chaos: retries: {}   timeouts: {}   dma-errors: {}   fallbacks: {}   failed: {}",
-            r.retries, r.timeouts, r.dma_errors, r.fallbacks, r.failed
+            r.stats.retries, r.stats.timeouts, r.stats.dma_errors, r.stats.fallbacks, r.failed
         );
     }
-    if batch_max > 1 {
+    if s.config.batch_max > 1 {
         println!(
             "batching: batched: {}   coalesced: {}   descriptors: {}   writes saved: {}",
             r.stats.requests_batched,
@@ -521,18 +239,19 @@ fn do_move(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders `(key, value)` counter pairs as one stable-order JSON
-/// object — the `--json true` output contract for scripts and CI.
-fn json_object(rows: &[(&str, u64)]) -> String {
-    let fields: Vec<String> = rows.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+/// Renders `(key, value)` counter pairs, then pre-rendered `"key":[..]`
+/// arrays, as one stable-order JSON object — the `--json true` output
+/// contract for scripts and CI.
+fn json_object(rows: &[(&str, u64)], arrays: &[String]) -> String {
+    let rows = rows.iter().map(|(k, v)| format!("\"{k}\":{v}"));
+    let fields: Vec<String> = rows.chain(arrays.iter().cloned()).collect();
     format!("{{{}}}", fields.join(","))
 }
 
-/// [`json_object`] plus the stable-key per-tier occupancy array:
-/// `"tiers":[{rank, kind, used_bytes, capacity_bytes, moves_in,
-/// moves_out}, ...]`, rank 0 fastest.
-fn json_object_with_tiers(rows: &[(&str, u64)], tiers: &[memif::TierUsage]) -> String {
-    let flat = json_object(rows);
+/// The stable-key per-tier occupancy array: `"tiers":[{rank, kind,
+/// used_bytes, capacity_bytes, moves_in, moves_out}, ...]`, rank 0
+/// fastest.
+fn json_tiers(tiers: &[memif::TierUsage]) -> String {
     let entries: Vec<String> = tiers
         .iter()
         .map(|t| {
@@ -543,15 +262,10 @@ fn json_object_with_tiers(rows: &[(&str, u64)], tiers: &[memif::TierUsage]) -> S
             )
         })
         .collect();
-    format!(
-        "{},\"tiers\":[{}]}}",
-        &flat[..flat.len() - 1],
-        entries.join(",")
-    )
+    format!("\"tiers\":[{}]", entries.join(","))
 }
 
-/// The stable-key per-tenant accounting array appended to
-/// `stats --json` output when a run had a tenant roster:
+/// The stable-key per-tenant accounting array of `stats --json`:
 /// `"tenants":[{id, weight, inflight, descriptors_held, parked,
 /// total_parked, retired, bytes_moved, p50_ns, p99_ns}, ...]`,
 /// ascending by tenant id. Empty rosters render `"tenants":[]`.
@@ -613,8 +327,10 @@ fn print_tiers(tiers: &[memif::TierUsage]) {
 /// counter, including the batching/coalescing set, as a table (or as
 /// one JSON object with `--json true`).
 fn stats(args: &Args) -> Result<(), String> {
-    let s = move_scenario(args)?;
     let json = args.get_or("json", false)?;
+    let (RunSpec::Move(s), Report::Move(r)) = record("stats", args, &["json"])? else {
+        unreachable!("stats runs a move spec")
+    };
     let title = format!(
         "driver stats: {} x {} {} pages ({:?}), batch-max {}{}",
         s.count,
@@ -623,17 +339,6 @@ fn stats(args: &Args) -> Result<(), String> {
         s.kind,
         s.config.batch_max,
         if s.config.coalesce { " + coalesce" } else { "" },
-    );
-    let r = stream_memif_tenants(
-        &s.cost,
-        s.config,
-        s.kind,
-        s.page_size,
-        s.pages,
-        s.count,
-        s.window,
-        s.plan,
-        &s.tenants,
     );
     let st = &r.stats;
     let issue_cpu = {
@@ -674,12 +379,8 @@ fn stats(args: &Args) -> Result<(), String> {
         ("issue_cpu_ns", issue_cpu.as_ns()),
     ];
     if json {
-        let with_tiers = json_object_with_tiers(rows, &r.tiers);
-        println!(
-            "{},{}}}",
-            &with_tiers[..with_tiers.len() - 1],
-            json_tenants(&r.tenant_stats)
-        );
+        let arrays = [json_tiers(&r.tiers), json_tenants(&r.tenant_stats)];
+        println!("{}", json_object(rows, &arrays));
         return Ok(());
     }
     let mut table = Table::new(title, &["counter", "value"]);
@@ -693,166 +394,39 @@ fn stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves a `policy` command line (or a replayed `#! policy` header)
-/// into a cost profile plus a [`ScenarioConfig`].
-fn policy_scenario(args: &Args) -> Result<(CostModel, ScenarioConfig), String> {
-    let cost = cost_profile(args)?;
-    let mode = match args.get("mode") {
-        None => Mode::Async,
-        Some(m) => {
-            Mode::parse(m).ok_or_else(|| format!("--mode: unknown mode '{m}' (none|sync|async)"))?
-        }
-    };
-    let policy = PolicyConfig {
-        epoch: memif::SimDuration::from_us(args.get_or("epoch-us", 1_000u64)?),
-        max_inflight: args.get_or("max-inflight", 4usize)?,
-        ..PolicyConfig::default()
-    };
-    let plan = memif::FaultPlan {
-        seed: args.get_or("fault-seed", 0u64)?,
-        dma_error_rate: args.get_or("dma-error-rate", 0.0f64)?,
-        drop_rate: args.get_or("drop-rate", 0.0f64)?,
-        delay_rate: args.get_or("delay-rate", 0.0f64)?,
-        desc_exhaust_rate: args.get_or("desc-exhaust-rate", 0.0f64)?,
-        ..memif::FaultPlan::default()
-    };
-    let cfg = ScenarioConfig {
-        mode,
-        seed: args.get_or("seed", 42u64)?,
-        regions: args.get_or("regions", 24usize)?,
-        pages_per_region: args.get_or("pages", 64u32)?,
-        page_size: args.page_size(PageSize::Small4K)?,
-        phases: args.get_or("phases", 6usize)?,
-        hot: args.get_or("hot", 8usize)?,
-        carry: args.get_or("carry", 3usize)?,
-        ticks_per_phase: args.get_or("ticks", 32u32)?,
-        tiers: args.get_or("tiers", 2usize)?,
-        policy_tiers: args.get_or("policy-tiers", 0usize)?,
-        warm: args.get_or("warm", 0usize)?,
-        policy,
-        faults: (!plan.is_noop()).then_some(plan),
-        ..ScenarioConfig::default()
-    };
-    for (flag, value) in [
-        ("regions", cfg.regions as u64),
-        ("pages", u64::from(cfg.pages_per_region)),
-        ("phases", cfg.phases as u64),
-        ("ticks", u64::from(cfg.ticks_per_phase)),
-    ] {
-        if value == 0 {
-            return Err(format!("--{flag}: must be at least 1"));
-        }
-    }
-    if !(2..=4).contains(&cfg.tiers) {
-        return Err(format!("--tiers: {} out of range (2..=4)", cfg.tiers));
-    }
-    if cfg.policy_tiers > cfg.tiers {
-        return Err(format!(
-            "--policy-tiers: {} exceeds the machine's {} tiers",
-            cfg.policy_tiers, cfg.tiers
-        ));
-    }
-    if cfg.hot + cfg.warm > cfg.regions {
-        return Err(format!(
-            "--warm: hot ({}) + warm ({}) working sets exceed the region pool ({})",
-            cfg.hot, cfg.warm, cfg.regions
-        ));
-    }
-    Ok((cost, cfg))
-}
-
-/// The `#!` header of a policy trace: every flag replay needs to
-/// rebuild the run.
-fn policy_trace_header(args: &Args, cfg: &ScenarioConfig) -> String {
-    let plan = cfg.faults.clone().unwrap_or_default();
-    format!(
-        "#! policy mode={} seed={} regions={} pages={} page-size={} phases={} hot={} carry={} \
-         ticks={} epoch-us={} max-inflight={} profile={} fault-seed={} dma-error-rate={} \
-         drop-rate={} delay-rate={} desc-exhaust-rate={} tiers={} policy-tiers={} warm={}",
-        cfg.mode.as_str(),
-        cfg.seed,
-        cfg.regions,
-        cfg.pages_per_region,
-        match cfg.page_size {
-            PageSize::Small4K => "4k",
-            PageSize::Medium64K => "64k",
-            PageSize::Large2M => "2m",
-        },
-        cfg.phases,
-        cfg.hot,
-        cfg.carry,
-        cfg.ticks_per_phase,
-        cfg.policy.epoch.as_ns() / 1_000,
-        cfg.policy.max_inflight,
-        args.get("profile").unwrap_or("keystone"),
-        plan.seed,
-        plan.dma_error_rate,
-        plan.drop_rate,
-        plan.delay_rate,
-        plan.desc_exhaust_rate,
-        cfg.tiers,
-        cfg.policy_tiers,
-        cfg.warm,
-    )
-}
-
 /// Runs the hot/cold placement daemon over the phased hot-set workload
 /// and reports the application + daemon outcome.
 fn policy(args: &Args) -> Result<(), String> {
-    let (cost, mut cfg) = policy_scenario(args)?;
-    let trace_path = args.get("trace-events");
-    cfg.log_events = trace_path.is_some();
-    let r = run_scenario(&cost, &cfg);
-
-    if let Some(path) = trace_path {
-        let mut out = String::new();
-        out.push_str(&policy_trace_header(args, &cfg));
-        out.push('\n');
-        for line in &r.events {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for (req, status) in &r.statuses {
-            out.push_str(&format!("#= {req} {status}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            r.events.len(),
-            r.statuses.len()
-        );
-    }
-
+    let json = args.get_or("json", false)?;
+    let extra = ["trace-events", "json"];
+    let (RunSpec::Policy(_, cfg), Report::Policy(r)) = record("policy", args, &extra)? else {
+        unreachable!("policy runs a policy spec")
+    };
     let p = &r.policy;
-    if args.get_or("json", false)? {
-        println!(
-            "{}",
-            json_object_with_tiers(
-                &[
-                    ("wall_ns", r.wall.as_ns()),
-                    ("ticks", r.ticks),
-                    ("fast_ticks", r.fast_ticks),
-                    ("slow_ticks", r.slow_ticks),
-                    ("page_touches", r.page_touches),
-                    ("epochs", p.epochs),
-                    ("pages_scanned", p.pages_scanned),
-                    ("pages_referenced", p.pages_referenced),
-                    ("promotions", p.promotions),
-                    ("demotions", p.demotions),
-                    ("moves_ok", p.moves_ok),
-                    ("moves_failed", p.moves_failed),
-                    ("dropped", p.dropped),
-                    ("cascades", p.cascades),
-                    ("compress_busy_ns", r.compress_busy.as_ns()),
-                    ("decompress_busy_ns", r.decompress_busy.as_ns()),
-                    ("driver_submitted", r.driver.submitted),
-                    ("driver_completed", r.driver.completed),
-                    ("driver_failed", r.driver.failed),
-                    ("driver_bytes_moved", r.driver.bytes_moved),
-                ],
-                &r.tiers,
-            )
-        );
+    let rows = [
+        ("wall_ns", r.wall.as_ns()),
+        ("ticks", r.ticks),
+        ("fast_ticks", r.fast_ticks),
+        ("slow_ticks", r.slow_ticks),
+        ("page_touches", r.page_touches),
+        ("epochs", p.epochs),
+        ("pages_scanned", p.pages_scanned),
+        ("pages_referenced", p.pages_referenced),
+        ("promotions", p.promotions),
+        ("demotions", p.demotions),
+        ("moves_ok", p.moves_ok),
+        ("moves_failed", p.moves_failed),
+        ("dropped", p.dropped),
+        ("cascades", p.cascades),
+        ("compress_busy_ns", r.compress_busy.as_ns()),
+        ("decompress_busy_ns", r.decompress_busy.as_ns()),
+        ("driver_submitted", r.driver.submitted),
+        ("driver_completed", r.driver.completed),
+        ("driver_failed", r.driver.failed),
+        ("driver_bytes_moved", r.driver.bytes_moved),
+    ];
+    if json {
+        println!("{}", json_object(&rows, &[json_tiers(&r.tiers)]));
         return Ok(());
     }
     println!(
@@ -895,154 +469,46 @@ fn policy(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Everything a `recover` run (or its replay) needs: a journaled
-/// DDR<->NVM migration stream plus an optional deterministic crash.
-struct RecoverScenario {
-    cost: CostModel,
-    config: MemifConfig,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    crash: Option<CrashPlan>,
-}
-
-fn recover_scenario(args: &Args) -> Result<RecoverScenario, String> {
-    let cost = cost_profile(args)?;
-    let batch_max = args.get_or("batch-max", 4usize)?;
-    let no_coalesce = args.get_or("no-coalesce", false)?;
-    let issue_shards = args.get_or("issue-shards", 1usize)?;
-    if issue_shards == 0 || issue_shards > 64 {
-        return Err(format!(
-            "--issue-shards: {issue_shards} out of range (1..=64)"
-        ));
-    }
-    let config = MemifConfig {
-        journal: true,
-        batch_max,
-        coalesce: batch_max > 1 && !no_coalesce,
-        issue_shards,
-        ..MemifConfig::default()
-    };
-    let crash = match args.get("crash-point") {
-        None | Some("none") => None,
-        Some(name) => {
-            let point = CrashPoint::parse(name).ok_or_else(|| {
-                let known: Vec<&str> = CrashPoint::ALL.iter().map(|p| p.as_str()).collect();
-                format!(
-                    "--crash-point: unknown point '{name}' (none|{})",
-                    known.join("|")
-                )
-            })?;
-            Some(CrashPlan::at(point, args.get_or("crash-nth", 1u64)?))
-        }
-    };
-    let s = RecoverScenario {
-        cost,
-        config,
-        page_size: args.page_size(PageSize::Small4K)?,
-        pages: args.get_or("pages", 8u32)?,
-        count: args.get_or("count", 12usize)?,
-        crash,
-    };
-    for (flag, value) in [
-        ("pages", u64::from(s.pages)),
-        ("count", s.count as u64),
-        ("batch-max", batch_max as u64),
-    ] {
-        if value == 0 {
-            return Err(format!("--{flag}: must be at least 1"));
-        }
-    }
-    Ok(s)
-}
-
-/// The `#!` header of a recover trace: every flag replay needs to
-/// rebuild the run.
-fn recover_trace_header(args: &Args, s: &RecoverScenario) -> String {
-    format!(
-        "#! recover crash-point={} crash-nth={} page-size={} pages={} count={} batch-max={} \
-         no-coalesce={} issue-shards={} profile={}",
-        s.crash.map_or("none", |c| c.point.as_str()),
-        s.crash.map_or(1, |c| c.nth),
-        match s.page_size {
-            PageSize::Small4K => "4k",
-            PageSize::Medium64K => "64k",
-            PageSize::Large2M => "2m",
-        },
-        s.pages,
-        s.count,
-        s.config.batch_max,
-        s.config.batch_max > 1 && !s.config.coalesce,
-        s.config.issue_shards,
-        args.get("profile").unwrap_or("keystone"),
-    )
-}
-
 /// Crashes a journaled DDR<->NVM migration stream at a deterministic
 /// lifecycle point, reboots through the write-ahead move journal, and
 /// re-drives the survivors — then reports how every request reached
 /// exactly one terminal status.
 fn recover(args: &Args) -> Result<(), String> {
-    let s = recover_scenario(args)?;
-    let (r, events) = crash_migrate_nvm_logged(
-        &s.cost,
-        s.config.clone(),
-        s.page_size,
-        s.pages,
-        s.count,
-        s.crash,
-    );
-
-    if let Some(path) = args.get("trace-events") {
-        let mut out = String::new();
-        out.push_str(&recover_trace_header(args, &s));
-        out.push('\n');
-        for line in &events {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for (cookie, status) in &r.statuses {
-            out.push_str(&format!("#= {cookie} {status:?}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            events.len(),
-            r.statuses.len()
-        );
-    }
-
+    let json = args.get_or("json", false)?;
+    let extra = ["trace-events", "json"];
+    let (RunSpec::Recover(c), Report::Recover(r)) = record("recover", args, &extra)? else {
+        unreachable!("recover runs a recover spec")
+    };
     let rep = r.recovery.as_ref();
-    if args.get_or("json", false)? {
-        println!(
-            "{}",
-            json_object(&[
-                ("crashed", u64::from(r.crashed)),
-                ("journal_records", r.journal_records),
-                (
-                    "recovered_requests",
-                    rep.map_or(0, |rep| rep.recovered_requests)
-                ),
-                ("rolled_back", rep.map_or(0, |rep| rep.rolled_back)),
-                ("redriven", rep.map_or(0, |rep| rep.redriven)),
-                ("resubmitted", r.resubmitted as u64),
-                ("wall_ns", r.wall.as_ns()),
-            ])
-        );
+    let rows = [
+        ("crashed", u64::from(r.crashed)),
+        ("journal_records", r.journal_records),
+        (
+            "recovered_requests",
+            rep.map_or(0, |rep| rep.recovered_requests),
+        ),
+        ("rolled_back", rep.map_or(0, |rep| rep.rolled_back)),
+        ("redriven", rep.map_or(0, |rep| rep.redriven)),
+        ("resubmitted", r.resubmitted as u64),
+        ("wall_ns", r.wall.as_ns()),
+    ];
+    if json {
+        println!("{}", json_object(&rows, &[]));
         return Ok(());
     }
 
+    let config = &c.config;
     println!(
         "{} x {} {} pages, DDR<->NVM ping-pong, journal on (batch-max {}{}, {} shard{})",
-        s.count,
-        s.pages,
-        s.page_size,
-        s.config.batch_max,
-        if s.config.coalesce { " + coalesce" } else { "" },
-        s.config.issue_shards,
-        if s.config.issue_shards == 1 { "" } else { "s" },
+        c.count,
+        c.pages,
+        c.page_size,
+        config.batch_max,
+        if config.coalesce { " + coalesce" } else { "" },
+        config.issue_shards,
+        if config.issue_shards == 1 { "" } else { "s" },
     );
-    match (s.crash, rep) {
+    match (c.crash, rep) {
         (Some(plan), Some(rep)) if r.crashed => {
             println!(
                 "crash: {} fired on crossing {} — volatile state lost, {} journal record{} survived",
@@ -1073,7 +539,7 @@ fn recover(args: &Args) -> Result<(), String> {
     println!(
         "converged: {done}/{} requests Done exactly once, {} journal records all sealed, \
          {:.1} us simulated",
-        s.count,
+        c.count,
         r.journal_records,
         r.wall.as_ns() as f64 / 1e3,
     );
@@ -1082,136 +548,31 @@ fn recover(args: &Args) -> Result<(), String> {
 
 /// Re-runs a `--trace-events` recording and verifies the new run is
 /// byte-identical: same event log, same terminal status per request.
+/// Any other flag on the command line must match the recorded value.
 fn replay(args: &Args) -> Result<(), String> {
     let path = args.get("from").ok_or("replay needs --from <path>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("--from: {path}: {e}"))?;
-
-    let mut header = None;
-    let mut events = Vec::new();
-    let mut statuses = Vec::new();
-    for line in text.lines() {
-        if let Some(h) = line.strip_prefix("#! ") {
-            header = Some(h.to_owned());
-        } else if let Some(s) = line.strip_prefix("#= ") {
-            let (req, status) = s
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed status line '{line}'"))?;
-            let req: u64 = req
-                .parse()
-                .map_err(|_| format!("malformed request id in '{line}'"))?;
-            statuses.push((req, status.to_owned()));
-        } else if !line.is_empty() {
-            events.push(line.to_owned());
-        }
-    }
-    let header = header.ok_or("trace has no '#!' header line")?;
-    let (cmd, flags) = header.split_once(' ').unwrap_or((header.as_str(), ""));
-    let pairs: Vec<(String, String)> = flags
-        .split_whitespace()
-        .map(|kv| {
-            kv.split_once('=')
-                .map(|(k, v)| (k.to_owned(), v.to_owned()))
-                .ok_or_else(|| format!("malformed header token '{kv}'"))
-        })
-        .collect::<Result<_, _>>()?;
-    // Flags that shape the event stream (shard-tagged worker events,
-    // the daemon's placement decisions) can never match when forced to
-    // a different value than recorded: reject the mismatch up front
-    // instead of reporting a divergence at record 0.
-    let reject_override = |flag: &str, default: &str| -> Result<(), String> {
-        if let Some(requested) = args.get(flag) {
-            let recorded = pairs
-                .iter()
-                .find(|(k, _)| k == flag)
-                .map_or(default, |(_, v)| v.as_str());
-            if requested != recorded {
-                return Err(format!(
-                    "--{flag} {requested} conflicts with the trace (recorded with \
-                     {flag}={recorded}); replay re-runs the recorded configuration"
-                ));
-            }
-        }
-        Ok(())
-    };
-    let (replayed_events, replayed_statuses) = match cmd {
-        "move" => {
-            reject_override("issue-shards", "1")?;
-            // Batched rearm skips (otherwise no-op) worker wake events,
-            // so a forced flip can never replay event-for-event.
-            reject_override("batch-rearm", "false")?;
-            // The tenant roster and QoS mode reshape the issue schedule
-            // (DRR interleaving, admission parks) event-for-event.
-            reject_override("tenants", "1")?;
-            reject_override("tenant-weights", "")?;
-            reject_override("qos", "false")?;
-            let scenario = move_scenario(&Args::from_pairs("move", pairs))?;
-            let logged = run_logged(&scenario);
-            (logged.events, logged.statuses)
-        }
-        "policy" => {
-            reject_override("mode", "async")?;
-            // The machine shape and working-set mix drive every
-            // placement decision in the trace; traces from before the
-            // ranked-tier refactor recorded the 2-tier defaults.
-            reject_override("tiers", "2")?;
-            reject_override("policy-tiers", "0")?;
-            reject_override("warm", "0")?;
-            let (cost, mut cfg) = policy_scenario(&Args::from_pairs("policy", pairs))?;
-            cfg.log_events = true;
-            let r = run_scenario(&cost, &cfg);
-            (r.events, r.statuses)
-        }
-        "stream" => {
-            // Overlap depth reshapes the fill stream (unit sizes, fill
-            // count, device batching), so a forced override can never
-            // replay; same for the kernel/placement/input shape.
-            reject_override("overlap-depth", "1")?;
-            reject_override("kernel", "triad")?;
-            reject_override("placement", "memif")?;
-            reject_override("input-mib", "64")?;
-            let a = Args::from_pairs("stream", pairs);
-            let s = stream_scenario(&a)?;
-            let (_, events, statuses) = run_stream_once(&s, true)?;
-            (events, statuses)
-        }
-        "recover" => {
-            reject_override("crash-point", "none")?;
-            reject_override("crash-nth", "1")?;
-            let s = recover_scenario(&Args::from_pairs("recover", pairs))?;
-            let (r, ev) = crash_migrate_nvm_logged(
-                &s.cost,
-                s.config.clone(),
-                s.page_size,
-                s.pages,
-                s.count,
-                s.crash,
-            );
-            let statuses = r
-                .statuses
-                .iter()
-                .map(|(cookie, st)| (*cookie, format!("{st:?}")))
-                .collect();
-            (ev, statuses)
-        }
-        other => return Err(format!("cannot replay '{other}' traces")),
-    };
-    if replayed_events != events {
-        let n = replayed_events
+    let (header, recorded) = read_trace(path)?;
+    let overrides = args.pairs().filter(|(k, _)| *k != "from");
+    let overrides = Args::from_pairs("replay", overrides.map(|(k, v)| (k.into(), v.into())));
+    let (replayed, _) = RunSpec::replayed(&header, &overrides)?.run(true);
+    let (events, statuses) = (recorded.events, recorded.statuses);
+    if replayed.events != events {
+        let n = replayed
+            .events
             .iter()
             .zip(&events)
             .take_while(|(a, b)| a == b)
             .count();
+        let at = |log: &[String]| log.get(n).map_or("<end of log>", String::as_str).to_owned();
+        let (recorded, replayed) = (at(&events), at(&replayed.events));
         return Err(format!(
-            "event log diverges at record {n}:\n  recorded: {}\n  replayed: {}",
-            events.get(n).map_or("<end of log>", String::as_str),
-            replayed_events
-                .get(n)
-                .map_or("<end of log>", String::as_str),
+            "event log diverges at record {n}:\n  recorded: {recorded}\n  replayed: {replayed}"
         ));
     }
-    if replayed_statuses != statuses {
+    if replayed.statuses != statuses {
         return Err(format!(
-            "terminal statuses diverge:\n  recorded: {statuses:?}\n  replayed: {replayed_statuses:?}"
+            "terminal statuses diverge:\n  recorded: {statuses:?}\n  replayed: {:?}",
+            replayed.statuses
         ));
     }
     println!(
@@ -1220,134 +581,6 @@ fn replay(args: &Args) -> Result<(), String> {
         statuses.len()
     );
     Ok(())
-}
-
-/// One resolvable streaming run: a single kernel + placement pair over
-/// a given input size and overlap depth (what a stream trace records
-/// and replay rebuilds).
-struct StreamScenario {
-    kernel_token: String,
-    kernel: KernelProfile,
-    placement_token: String,
-    placement: Placement,
-    total: u64,
-    depth: usize,
-}
-
-fn stream_kernel(token: &str) -> Result<KernelProfile, String> {
-    match token {
-        "triad" => Ok(stream_triad()),
-        "add" => Ok(stream_add()),
-        "pgain" => Ok(streamcluster_pgain()),
-        "wordcount" => Ok(wordcount_like()),
-        other => Err(format!("--kernel: unknown kernel '{other}'")),
-    }
-}
-
-fn stream_depth(args: &Args) -> Result<usize, String> {
-    let depth = args.get_or("overlap-depth", 1usize)?;
-    let buffer_pages = StreamConfig::default().buffer_pages as usize;
-    if depth == 0 || !buffer_pages.is_multiple_of(depth) {
-        return Err(format!(
-            "--overlap-depth: {depth} must divide the {buffer_pages}-page prefetch buffer \
-             (1|2|4|8|16|32|64)"
-        ));
-    }
-    Ok(depth)
-}
-
-/// The device configuration `--overlap-depth K` implies: runs deeper
-/// than 2 batch their fills in sub-chunk *pairs* and dedupe the paired
-/// completions' same-instant worker-wake timers. Batching a whole
-/// buffer's complement of units would complete them as one flow and
-/// cancel the readiness stagger the depth is for.
-fn stream_device_config(depth: usize) -> MemifConfig {
-    MemifConfig {
-        batch_max: if depth > 2 { 2 } else { 1 },
-        batch_rearm: depth > 2,
-        ..MemifConfig::default()
-    }
-}
-
-/// Resolves a traced stream run (or a replayed `#! stream` header):
-/// tracing needs a single kernel and a single placement, so `all` and
-/// `both` are rejected here.
-fn stream_scenario(args: &Args) -> Result<StreamScenario, String> {
-    let kernel_token = match args.get("kernel") {
-        None | Some("all") => {
-            return Err(
-                "--trace-events needs a single --kernel (triad|add|pgain|wordcount)".to_owned(),
-            )
-        }
-        Some(k) => k.to_owned(),
-    };
-    let placement_token = match args.get("placement") {
-        None | Some("both") => {
-            return Err("--trace-events needs a single --placement (memif|linux)".to_owned())
-        }
-        Some(p) => p.to_owned(),
-    };
-    let placement = match placement_token.as_str() {
-        "linux" => Placement::SlowOnly,
-        "memif" => Placement::MemifPrefetch,
-        other => return Err(format!("--placement: unknown placement '{other}'")),
-    };
-    Ok(StreamScenario {
-        kernel: stream_kernel(&kernel_token)?,
-        kernel_token,
-        placement_token,
-        placement,
-        total: args.get_or("input-mib", 64u64)? << 20,
-        depth: stream_depth(args)?,
-    })
-}
-
-/// The `#!` header of a stream trace.
-fn stream_trace_header(s: &StreamScenario) -> String {
-    format!(
-        "#! stream kernel={} placement={} input-mib={} overlap-depth={}",
-        s.kernel_token,
-        s.placement_token,
-        s.total >> 20,
-        s.depth,
-    )
-}
-
-/// One streaming run. Returns the report, the typed event log (empty
-/// unless `log_events`), and the fill completions in retirement order —
-/// the trace's `#=` lines.
-#[allow(clippy::type_complexity)]
-fn run_stream_once(
-    s: &StreamScenario,
-    log_events: bool,
-) -> Result<(StreamReport, Vec<String>, Vec<(u64, String)>), String> {
-    let mut sys = System::keystone_ii();
-    if log_events {
-        sys.enable_event_log();
-    }
-    let mut sim = Sim::new();
-    let space = sys.new_space();
-    let memif = match s.placement {
-        Placement::MemifPrefetch => Some(
-            Memif::open(&mut sys, space, stream_device_config(s.depth))
-                .map_err(|e| e.to_string())?,
-        ),
-        Placement::SlowOnly => None,
-    };
-    let config = StreamConfig {
-        placement: s.placement,
-        total_input: s.total,
-        overlap_depth: s.depth,
-        ..StreamConfig::default()
-    };
-    let rt = StreamRuntime::launch(&mut sys, &mut sim, space, memif, config, s.kernel.clone());
-    sim.run(&mut sys);
-    let events = if log_events {
-        sys.take_event_log()
-    } else {
-        Vec::new()
-    };
-    Ok((rt.report(), events, rt.completions()))
 }
 
 /// `--threads M`: M real producer threads drive a deterministic
@@ -1365,39 +598,30 @@ fn stream_rt_stress(threads: u64) {
     let backend = MemBackend::new();
     backend.register(0, total * PAGE);
     let dev = rt.open(16, backend);
-    let (mut done, mut invalid) = (0u64, 0u64);
-    std::thread::scope(|sc| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let dev = dev.clone();
-            handles.push(sc.spawn(move || {
-                let (mut done, mut invalid) = (0u64, 0u64);
-                for i in 0..PER_THREAD {
-                    let cookie = t * PER_THREAD + i;
-                    // Every fifth move targets an unregistered range and
-                    // must complete Invalid, never panic or get lost.
-                    let src = if cookie % 5 == 4 {
-                        0x7F00_0000_0000 + cookie * PAGE
-                    } else {
-                        cookie * PAGE
-                    };
-                    let c = dev.move_blocking(
-                        MoveDesc::migrate(src, 1, PAGE_SHIFT).with_user_data(cookie),
-                    );
-                    match c.status.is_failure() {
-                        false => done += 1,
-                        true => invalid += 1,
-                    }
-                }
-                (done, invalid)
-            }));
-        }
-        for h in handles {
-            let (d, i) = h.join().expect("producer thread");
-            done += d;
-            invalid += i;
-        }
+    let invalid: u64 = std::thread::scope(|sc| {
+        let producers: Vec<_> = (0..threads)
+            .map(|t| {
+                let dev = dev.clone();
+                sc.spawn(move || {
+                    let invalid = (t * PER_THREAD..(t + 1) * PER_THREAD).filter(|&cookie| {
+                        // Every fifth move targets an unregistered range and
+                        // must complete Invalid, never panic or get lost.
+                        let base = if cookie % 5 == 4 { 0x7F00_0000_0000 } else { 0 };
+                        let desc = MoveDesc::migrate(base + cookie * PAGE, 1, PAGE_SHIFT);
+                        dev.move_blocking(desc.with_user_data(cookie))
+                            .status
+                            .is_failure()
+                    });
+                    invalid.count() as u64
+                })
+            })
+            .collect();
+        producers
+            .into_iter()
+            .map(|h| h.join().expect("producer thread"))
+            .sum()
     });
+    let done = total - invalid;
     let st = dev.stats();
     println!(
         "rt stress: {threads} thread{} x {PER_THREAD} moves: {done} Done + {invalid} Invalid \
@@ -1411,86 +635,65 @@ fn stream_rt_stress(threads: u64) {
 }
 
 fn stream(args: &Args) -> Result<(), String> {
-    let depth = stream_depth(args)?;
     let threads = args.get_or("threads", 0u64)?;
+    let every = |flag, all: &[&str]| match args.get(flag) {
+        None | Some("all" | "both") => all.iter().map(|t| (*t).to_owned()).collect(),
+        Some(token) => vec![token.to_owned()],
+    };
+    let kernels: Vec<String> = every("kernel", &["pgain", "triad", "add"]);
+    let placements: Vec<String> = every("placement", &["linux", "memif"]);
 
-    if let Some(path) = args.get("trace-events") {
-        let s = stream_scenario(args)?;
-        let (r, events, statuses) = run_stream_once(&s, true)?;
-        let mut out = String::new();
-        out.push_str(&stream_trace_header(&s));
-        out.push('\n');
-        for line in &events {
-            out.push_str(line);
-            out.push('\n');
+    if args.get("trace-events").is_some() {
+        if kernels.len() * placements.len() > 1 {
+            return Err("--trace-events records one --kernel on one --placement".into());
         }
-        for (req, status) in &statuses {
-            out.push_str(&format!("#= {req} {status}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            events.len(),
-            statuses.len()
-        );
+        let extra = ["trace-events", "threads"];
+        let (RunSpec::Stream(s), Report::Stream(r)) = record("stream", args, &extra)? else {
+            unreachable!("stream runs a stream spec")
+        };
         println!(
             "{} on {}: {:.1} MB/s, {} fills, {:.0}% fallback",
-            s.kernel.name,
-            s.placement_token,
+            kernel_profile(&s.kernel)?.name,
+            s.placement.print(),
             r.traffic_gbps * 1000.0,
             r.fills,
             r.fallback_bytes as f64 / r.input_bytes.max(1) as f64 * 100.0,
         );
-        if threads > 0 {
-            stream_rt_stress(threads);
+    } else {
+        let mut table = None;
+        for kernel in &kernels {
+            for placement in &placements {
+                let one = [("kernel", &kernel[..]), ("placement", &placement[..])];
+                let pairs = args.pairs().chain(one).map(|(k, v)| (k.into(), v.into()));
+                let spec =
+                    RunSpec::parse("stream", &Args::from_pairs("stream", pairs), &["threads"])?;
+                let (RunSpec::Stream(s), (_, Report::Stream(r))) = (&spec, spec.run(false)) else {
+                    unreachable!("stream runs a stream spec")
+                };
+                let table = table.get_or_insert_with(|| {
+                    let title = match s.depth {
+                        1 => "streaming throughput (MB/s)".to_owned(),
+                        k => format!("streaming throughput (MB/s), overlap depth {k}"),
+                    };
+                    Table::new(
+                        title,
+                        &["kernel", "placement", "MB/s", "fallback%", "fills"],
+                    )
+                });
+                table.row(&[
+                    kernel_profile(kernel)?.name,
+                    format!("{:?}", s.placement),
+                    format!("{:.1}", r.traffic_gbps * 1000.0),
+                    format!(
+                        "{:.0}%",
+                        r.fallback_bytes as f64 / r.input_bytes.max(1) as f64 * 100.0
+                    ),
+                    r.fills.to_string(),
+                ]);
+            }
         }
-        return Ok(());
+        table.expect("at least one kernel and placement").print();
     }
-
-    let kernels = match args.get("kernel") {
-        None | Some("all") => vec![streamcluster_pgain(), stream_triad(), stream_add()],
-        Some(token) => vec![stream_kernel(token)?],
-    };
-    let placements = match args.get("placement") {
-        None | Some("both") => vec![Placement::SlowOnly, Placement::MemifPrefetch],
-        Some("linux") => vec![Placement::SlowOnly],
-        Some("memif") => vec![Placement::MemifPrefetch],
-        Some(other) => return Err(format!("--placement: unknown placement '{other}'")),
-    };
-    let total = args.get_or("input-mib", 64u64)? << 20;
-
-    let mut table = Table::new(
-        if depth > 1 {
-            format!("streaming throughput (MB/s), overlap depth {depth}")
-        } else {
-            "streaming throughput (MB/s)".to_owned()
-        },
-        &["kernel", "placement", "MB/s", "fallback%", "fills"],
-    );
-    for kernel in &kernels {
-        for placement in &placements {
-            let s = StreamScenario {
-                kernel_token: kernel.name.clone(),
-                kernel: kernel.clone(),
-                placement_token: format!("{placement:?}"),
-                placement: *placement,
-                total,
-                depth,
-            };
-            let (r, _, _) = run_stream_once(&s, false)?;
-            table.row(&[
-                kernel.name.clone(),
-                format!("{placement:?}"),
-                format!("{:.1}", r.traffic_gbps * 1000.0),
-                format!(
-                    "{:.0}%",
-                    r.fallback_bytes as f64 / r.input_bytes.max(1) as f64 * 100.0
-                ),
-                r.fills.to_string(),
-            ]);
-        }
-    }
-    table.print();
     if threads > 0 {
         stream_rt_stress(threads);
     }
@@ -1498,9 +701,10 @@ fn stream(args: &Args) -> Result<(), String> {
 }
 
 fn timeline(args: &Args) -> Result<(), String> {
+    declare(args, &["pages", "count", "page-size"])?;
     let pages = args.get_or("pages", 16u32)?;
     let count = args.get_or("count", 2usize)?;
-    let page_size = args.page_size(PageSize::Small4K)?;
+    let page_size = flag(args, "page-size", PageSize::Small4K)?;
 
     let mut sys = System::keystone_ii();
     sys.enable_tracing();

@@ -233,3 +233,71 @@ fn stats_json_carries_the_recovery_counters() {
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
 }
+
+/// Inputs that once panicked, hung, or were silently rewritten: each
+/// must now fail up front with exit 2 and a diagnostic naming the flag.
+#[test]
+fn bad_run_inputs_are_clean_errors() {
+    let dir = tempdir("bad-inputs");
+    for (line, needle) in [
+        // The default --carry 3 exceeds the hot set.
+        ("policy --hot 2", "--carry"),
+        // A zero epoch never advances the daemon.
+        ("policy --epoch-us 0", "--epoch-us"),
+        // More pages than the DMA engine has descriptors.
+        ("move --pages 100000 --count 1", "--pages"),
+        // The window's footprint overflows the 256 MiB fast bank.
+        (
+            "move --pages 128 --page-size 2m --count 2 --window 2",
+            "--pages",
+        ),
+        // More requests in flight than the device has slots.
+        ("move --window 65 --count 100", "--window"),
+        ("recover --count 65", "--count"),
+        // Used to fire on crossing 1.
+        ("recover --crash-point submit --crash-nth 0", "--crash-nth"),
+        // Used to be clamped to 1 while the header recorded 0.
+        ("move --tc-count 0", "--tc-count"),
+        ("move --dma-error-rate 2", "--dma-error-rate"),
+        ("policy --drop-rate -0.5", "--drop-rate"),
+        ("move --count 4 --count 8", "--count"),
+        ("move --batchmax 8", "--batchmax"),
+        ("move --overlap-depth 4", "--overlap-depth"),
+        ("topology --pages 4", "--pages"),
+    ] {
+        let argv: Vec<&str> = line.split_whitespace().collect();
+        assert_clean_failure(&memifctl(&dir, &argv), needle);
+    }
+}
+
+/// Replay re-runs the recorded configuration: any flag whose value
+/// differs from the recorded one is an error naming the flag and the
+/// recorded value, and a flag that matches it is accepted.
+#[test]
+fn replay_rejects_any_differing_flag() {
+    let dir = tempdir("overrides");
+    record_move_trace(&dir);
+    let policy = ["policy", "--phases", "2", "--ticks", "4"];
+    let out = memifctl(
+        &dir,
+        &[&policy[..], &["--trace-events", "p.jsonl"]].concat(),
+    );
+    assert!(out.status.success(), "recording failed: {out:?}");
+    for (trace, flag, value, recorded) in [
+        ("trace.jsonl", "--batch-max", "8", "batch-max=1"),
+        ("trace.jsonl", "--count", "999", "count=8"),
+        ("trace.jsonl", "--dma-error-rate", "0.5", "dma-error-rate=0"),
+        ("p.jsonl", "--seed", "7", "seed=42"),
+        ("p.jsonl", "--regions", "9", "regions=24"),
+    ] {
+        let out = memifctl(&dir, &["replay", "--from", trace, flag, value]);
+        assert_clean_failure(&out, &format!("{flag} {value} conflicts"));
+        assert_clean_failure(&out, recorded);
+    }
+    let out = memifctl(&dir, &["replay", "--from", "trace.jsonl", "--count", "8"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("replay OK"),
+        "a matching override must replay: {out:?}"
+    );
+}

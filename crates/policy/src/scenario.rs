@@ -67,7 +67,7 @@ impl Mode {
 }
 
 /// Everything that defines one scenario run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Placement regime.
     pub mode: Mode,

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use memif::{Memif, MoveSpec, Sim, SimDuration, SimEvent, SimTime, SpaceId, System};
+use memif::{Memif, MemifConfig, MoveSpec, Sim, SimDuration, SimEvent, SimTime, SpaceId, System};
 use memif_hwsim::{Context, MemoryKind, ResourceId};
 use memif_mm::{PageSize, VirtAddr};
 
@@ -85,6 +85,23 @@ impl StreamConfig {
     #[must_use]
     pub fn unit_pages(&self) -> u32 {
         self.buffer_pages / self.overlap_depth.max(1) as u32
+    }
+
+    /// The device configuration [`overlap_depth`](Self::overlap_depth)
+    /// implies: runs deeper than 2 batch their fills in *pairs* and
+    /// dedupe the paired completions' same-instant worker-wake timers.
+    /// Pairs are wide enough to fan completions out at the same instant
+    /// (so batched timer rearm has duplicates to elide) yet, at depth
+    /// ≥ 4, still sub-chunk, keeping the readiness stagger that
+    /// pipelining is for. Batching a buffer's whole complement of units
+    /// would complete them as one flow and cancel the granularity win.
+    #[must_use]
+    pub fn device_config(&self) -> MemifConfig {
+        MemifConfig {
+            batch_max: if self.overlap_depth > 2 { 2 } else { 1 },
+            batch_rearm: self.overlap_depth > 2,
+            ..MemifConfig::default()
+        }
     }
 }
 

@@ -75,7 +75,10 @@ fn claim_cpu_usage_reductions() {
 fn claim_latency_shape() {
     use memif_bench_shim::*;
     let memif_run = stream_memif_shim(16, 8, 8);
-    assert_eq!(memif_run.ioctls, 1, "one kick-start for the whole burst");
+    assert_eq!(
+        memif_run.stats.ioctls, 1,
+        "one kick-start for the whole burst"
+    );
     // Evenly spread completions: max gap below 2x min gap.
     let gaps: Vec<u64> = memif_run
         .completion_times
@@ -196,7 +199,8 @@ fn claim_release_needs_no_flush() {
 mod memif_bench_shim {
     use super::*;
     use memif_bench::{
-        probe_linux_once, probe_memif_once, stream_linux, stream_memif, ProbeResult, StreamResult,
+        probe_linux_once, probe_memif_once, run_stream, stream_linux, ProbeResult, StreamResult,
+        StreamSpec,
     };
     use memif_workloads::ShapeKind;
 
@@ -216,15 +220,14 @@ mod memif_bench_shim {
     }
 
     pub fn stream_memif_shim(pages: u32, count: usize, window: usize) -> StreamResult {
-        stream_memif(
-            &CostModel::keystone_ii(),
-            MemifConfig::default(),
+        run_stream(&StreamSpec::new(
             ShapeKind::Migrate,
             PageSize::Small4K,
             pages,
             count,
             window,
-        )
+        ))
+        .result
     }
 
     pub fn stream_linux_shim(pages: u32, count: usize, batch: usize) -> StreamResult {
@@ -252,18 +255,11 @@ mod memif_bench_shim {
         count: usize,
         replicate: bool,
     ) -> StreamResult {
-        stream_memif(
-            &CostModel::keystone_ii(),
-            MemifConfig::default(),
-            if replicate {
-                ShapeKind::Replicate
-            } else {
-                ShapeKind::Migrate
-            },
-            page,
-            pages,
-            count,
-            8,
-        )
+        let kind = if replicate {
+            ShapeKind::Replicate
+        } else {
+            ShapeKind::Migrate
+        };
+        run_stream(&StreamSpec::new(kind, page, pages, count, 8)).result
     }
 }
