@@ -21,5 +21,5 @@ pub mod migspeed;
 pub mod syscalls;
 
 pub use migrate::{migrate_region, MigrateOutcome, PageFailure};
-pub use migspeed::{run_migspeed, MigspeedConfig, MigspeedReport};
+pub use migspeed::{run_migspeed, MigspeedConfig, MigspeedError, MigspeedReport};
 pub use syscalls::{mbind, RegionRequest, SyscallOutcome};

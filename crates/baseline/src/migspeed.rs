@@ -40,6 +40,43 @@ pub struct MigspeedReport {
     pub per_page_us: f64,
 }
 
+/// Why a migspeed run could not measure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MigspeedError {
+    /// The region (one batch of pages) does not fit in a node.
+    Capacity {
+        /// The node that cannot hold the region.
+        node: NodeId,
+        /// Bytes of one batch.
+        needed_bytes: u64,
+        /// The node's total capacity in bytes.
+        capacity_bytes: u64,
+    },
+}
+
+impl std::fmt::Display for MigspeedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            MigspeedError::Capacity {
+                node,
+                needed_bytes,
+                capacity_bytes,
+            } => {
+                let mib = |bytes: u64| bytes as f64 / f64::from(1u32 << 20);
+                write!(
+                    f,
+                    "a batch of {:.1} MiB does not fit node {}'s {:.1} MiB capacity",
+                    mib(needed_bytes),
+                    node.0,
+                    mib(capacity_bytes)
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for MigspeedError {}
+
 /// Runs migspeed on a fresh address space over `topo`.
 ///
 /// Regions are allocated on `from` and migrated to `to` batch by batch.
@@ -47,16 +84,25 @@ pub struct MigspeedReport {
 /// is migrated back to `from` before the next begins — exactly how
 /// migspeed ping-pongs pages; only the forward direction is timed.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a page fails to migrate (the benchmark setup guarantees
-/// mapped pages and capacity).
-#[must_use]
-pub fn run_migspeed(topo: &Topology, cost: &CostModel, config: MigspeedConfig) -> MigspeedReport {
+/// [`MigspeedError::Capacity`] when one batch of pages cannot be placed
+/// on `from` or moved in full to `to`.
+pub fn run_migspeed(
+    topo: &Topology,
+    cost: &CostModel,
+    config: MigspeedConfig,
+) -> Result<MigspeedReport, MigspeedError> {
     let mut space = AddressSpace::new();
     let mut alloc = FrameAllocator::new(topo);
     let mut phys = PhysMem::new();
     let mut meter = UsageMeter::new();
+    let capacity = |node: NodeId| MigspeedError::Capacity {
+        node,
+        needed_bytes: u64::from(config.pages_per_syscall) * config.page_size.bytes(),
+        capacity_bytes: alloc.total_bytes(node),
+    };
+    let (no_room_from, no_room_to) = (capacity(config.from), capacity(config.to));
 
     let region = space
         .mmap_anonymous(
@@ -65,7 +111,7 @@ pub fn run_migspeed(topo: &Topology, cost: &CostModel, config: MigspeedConfig) -
             config.page_size,
             config.from,
         )
-        .expect("benchmark region fits the source node");
+        .map_err(|_| no_room_from)?;
 
     let mut elapsed = SimDuration::ZERO;
     for _ in 0..config.batches {
@@ -83,11 +129,9 @@ pub fn run_migspeed(topo: &Topology, cost: &CostModel, config: MigspeedConfig) -
             &mut meter,
             &[forward],
         );
-        assert!(
-            out.failed.is_empty(),
-            "migspeed pages must all move: {:?}",
-            out.failed
-        );
+        if !out.failed.is_empty() {
+            return Err(no_room_to);
+        }
         elapsed += out.duration;
 
         // Untimed return trip to reset placement.
@@ -96,18 +140,20 @@ pub fn run_migspeed(topo: &Topology, cost: &CostModel, config: MigspeedConfig) -
             ..forward
         };
         let out = mbind(&mut space, &mut alloc, &mut phys, cost, &mut meter, &[back]);
-        assert!(out.failed.is_empty());
+        if !out.failed.is_empty() {
+            return Err(no_room_from);
+        }
     }
 
     let pages = u64::from(config.pages_per_syscall) * u64::from(config.batches);
     let bytes = pages * config.page_size.bytes();
-    MigspeedReport {
+    Ok(MigspeedReport {
         pages,
         bytes,
         elapsed,
         throughput_gbps: bytes as f64 / elapsed.as_ns() as f64,
         per_page_us: elapsed.as_us_f64() / pages as f64,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -134,7 +180,8 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(1),
             },
-        );
+        )
+        .expect("the batch fits both nodes");
         assert!(
             (0.25..0.35).contains(&report.throughput_gbps),
             "paper: 0.30 GB/s; got {:.3}",
@@ -162,7 +209,8 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(1),
             },
-        );
+        )
+        .expect("the batch fits both nodes");
         assert!(
             (0.5..0.9).contains(&report.throughput_gbps),
             "paper: 0.66 GB/s; got {:.3}",
@@ -184,7 +232,8 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(1),
             },
-        );
+        )
+        .expect("the batch fits both nodes");
         let large = run_migspeed(
             &topo,
             &cost,
@@ -195,7 +244,8 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(1),
             },
-        );
+        )
+        .expect("the batch fits both nodes");
         assert!(large.throughput_gbps > small.throughput_gbps);
         // But still bounded by the ≈1 GB/s CPU copy rate.
         assert!(large.throughput_gbps < cost.cpu_copy_bw_gbps * 1.01);
@@ -213,7 +263,8 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(1),
             },
-        );
+        )
+        .expect("the batch fits both nodes");
         assert_eq!(report.pages, 500);
         assert_eq!(report.bytes, 500 * 4096);
     }

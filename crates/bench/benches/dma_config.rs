@@ -24,10 +24,10 @@ fn bench_configure(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("reuse", n), &n, |b, &n| {
             let mut engine = DmaEngine::new();
             // Warm the chain once.
-            let t = engine.configure(segments(n), &cost).unwrap();
+            let t = engine.configure(&segments(n), &cost).unwrap();
             engine_release(&mut engine, t.chain);
             b.iter(|| {
-                let t = engine.configure(segments(n), &cost).unwrap();
+                let t = engine.configure(&segments(n), &cost).unwrap();
                 let chain = t.chain;
                 let cost_ns = t.config_cost.as_ns();
                 engine_release(&mut engine, chain);
@@ -38,7 +38,7 @@ fn bench_configure(c: &mut Criterion) {
             let mut engine = DmaEngine::new();
             engine.set_reuse_enabled(false);
             b.iter(|| {
-                let t = engine.configure(segments(n), &cost).unwrap();
+                let t = engine.configure(&segments(n), &cost).unwrap();
                 let chain = t.chain;
                 let cost_ns = t.config_cost.as_ns();
                 engine_release(&mut engine, chain);

@@ -139,7 +139,12 @@ fn run_mix(cost: &CostModel, qos: bool, plans: &[TenantPlan]) -> Vec<TenantOutco
         stop_streaming: false,
     }));
 
-    fn submit_next(state: &Rc<RefCell<State>>, idx: usize, sys: &mut System, sim: &mut Sim<System>) {
+    fn submit_next(
+        state: &Rc<RefCell<State>>,
+        idx: usize,
+        sys: &mut System,
+        sim: &mut Sim<System>,
+    ) {
         let (memif, spec, cookie) = {
             let mut st = state.borrow_mut();
             if !st.may_submit(idx) {
@@ -150,7 +155,11 @@ fn run_mix(cost: &CostModel, qos: bool, plans: &[TenantPlan]) -> Vec<TenantOutco
             let p = st.plans[idx].clone();
             let slot = seq % p.window;
             let (src, node) = st.regions[idx][slot];
-            let target = if node == NodeId(0) { NodeId(1) } else { NodeId(0) };
+            let target = if node == NodeId(0) {
+                NodeId(1)
+            } else {
+                NodeId(0)
+            };
             st.regions[idx][slot].1 = target;
             let cookie = ((idx as u64) << 40) | seq as u64;
             let spec = MoveSpec::migrate(src, p.pages, p.page_size, target)
@@ -197,8 +206,8 @@ fn run_mix(cost: &CostModel, qos: bool, plans: &[TenantPlan]) -> Vec<TenantOutco
             .expect("e19 device open");
     }
 
-    for idx in 0..plans.len() {
-        for _ in 0..plans[idx].window {
+    for (idx, plan) in plans.iter().enumerate() {
+        for _ in 0..plan.window {
             submit_next(&state, idx, &mut sys, &mut sim);
         }
     }
@@ -272,8 +281,6 @@ fn main() {
     with_bully.push(bully_plan());
     let fifo = run_mix(&cost, false, &with_bully);
     let qos = run_mix(&cost, true, &with_bully);
-
-
 
     let p99_base = good_p99_ms(&baseline);
     let p99_fifo = good_p99_ms(&fifo);

@@ -41,7 +41,8 @@ fn main() {
                 from: NodeId(0),
                 to: NodeId(1),
             },
-        );
+        )
+        .expect("a 1,500-page batch fits both nodes");
         let pct = report.throughput_gbps / cost.slow_bw_gbps * 100.0;
         table.row(&[
             name.to_owned(),

@@ -173,7 +173,7 @@ fn migspeed(args: &Args) -> Result<(), String> {
         from: NodeId(args.get_or("from", 0u16)?),
         to: NodeId(args.get_or("to", 1u16)?),
     };
-    let r = run_migspeed(&topo, &cost, config);
+    let r = run_migspeed(&topo, &cost, config).map_err(|e| format!("--pages: {e}"))?;
     println!(
         "migrated {} pages ({} MiB) in {}: {:.3} GB/s, {:.1} us/page",
         r.pages,

@@ -264,6 +264,8 @@ fn bad_run_inputs_are_clean_errors() {
         ("move --batchmax 8", "--batchmax"),
         ("move --overlap-depth 4", "--overlap-depth"),
         ("topology --pages 4", "--pages"),
+        // 1,500 64 KiB pages overflow the 6 MiB fast node mid-migration.
+        ("migspeed --page-size 64k", "6.0 MiB capacity"),
     ] {
         let argv: Vec<&str> = line.split_whitespace().collect();
         assert_clean_failure(&memifctl(&dir, &argv), needle);

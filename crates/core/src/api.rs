@@ -375,7 +375,13 @@ impl Memif {
         let id = device.next_req_id;
         device.next_req_id += 1;
         device.stats.submitted += 1;
-        device.submit_times.insert(id, sim.now());
+        device.outstanding.insert(
+            id,
+            crate::device::RequestRecord {
+                submitted_at: sim.now(),
+                route: None,
+            },
+        );
 
         let req = MovReq {
             id,
@@ -398,9 +404,7 @@ impl Memif {
             device.stats.requests_parked += 1;
             device
                 .parked
-                .entry(spec.tenant.0)
-                .or_default()
-                .push_back(crate::device::ParkedReq { req, shard });
+                .push(spec.tenant.0, crate::device::ParkedReq { req, shard });
             sys.qos.note_parked(spec.tenant);
             return Ok((id, shard, None));
         }

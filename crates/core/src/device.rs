@@ -5,7 +5,7 @@
 //! (Figure 3), and carries the driver bookkeeping — the in-flight
 //! transfer, statistics, completion log, and registered pollers.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use memif_hwsim::dma::TransferId;
 use memif_hwsim::{PhaseBreakdown, PhysAddr, SimTime};
@@ -206,20 +206,97 @@ pub(crate) struct Inflight {
     pub shard: usize,
 }
 
-/// Reusable per-device working buffers for request planning. Taken out
-/// of the device for the duration of one plan (sidestepping borrow
-/// conflicts with the address-space walks) and put back afterwards, so
-/// steady-state planning allocates nothing beyond the exact-size
-/// vectors that outlive the plan on the in-flight record.
+/// Reusable per-shard working buffers for request planning. Taken out
+/// of the shard for the duration of one plan (sidestepping borrow
+/// conflicts with the address-space walks) and put back afterwards. The
+/// vectors that outlive the plan on the in-flight record come from the
+/// device's [`SparePool`] instead.
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
     /// Gang-lookup results (migration source / replication source).
     pub ptes: Vec<Option<Pte>>,
     /// Gang-lookup results for replication's destination region.
     pub dst_ptes: Vec<Option<Pte>>,
-    /// Scatter-gather build area; coalescing runs in place here before
-    /// the exact-size copy that rides the in-flight record.
-    pub segments: Vec<memif_hwsim::dma::SgSegment>,
+    /// A migration's pages and their entries before Remap.
+    pub originals: Vec<(VirtAddr, Pte)>,
+    /// A migration's destination frames, allocated before Remap.
+    pub new_frames: Vec<PhysAddr>,
+}
+
+/// Reusable per-shard buffers of batch assembly and batched issue,
+/// cleared after every batch.
+#[derive(Debug, Default)]
+pub(crate) struct BatchScratch {
+    /// The batch being assembled, in chain order.
+    pub members: Vec<memif_lockfree::Dequeued>,
+    /// Virtual address spans the members read or write.
+    pub spans: Vec<(u64, u64)>,
+    /// The members that survived planning, with their plans.
+    pub planned: Vec<(memif_lockfree::Dequeued, crate::driver::exec::Plan)>,
+    /// The members' segment lists concatenated into one chain.
+    pub chain: Vec<memif_hwsim::dma::SgSegment>,
+}
+
+impl BatchScratch {
+    pub fn clear(&mut self) {
+        self.members.clear();
+        self.spans.clear();
+        self.planned.clear();
+        self.chain.clear();
+    }
+}
+
+/// Emptied vectors of retired in-flight records (and of rejected
+/// plans), handed to the next plans so steady-state issue draws its
+/// per-request lists from here instead of the heap.
+#[derive(Debug, Default)]
+pub(crate) struct SparePool {
+    segments: Vec<Vec<memif_hwsim::dma::SgSegment>>,
+    pages: Vec<Vec<PagePlan>>,
+    members: Vec<Vec<u64>>,
+}
+
+impl SparePool {
+    /// An empty segment list.
+    pub fn segments(&mut self) -> Vec<memif_hwsim::dma::SgSegment> {
+        self.segments.pop().unwrap_or_default()
+    }
+
+    /// An empty page-plan list.
+    pub fn pages(&mut self) -> Vec<PagePlan> {
+        self.pages.pop().unwrap_or_default()
+    }
+
+    /// An empty batch-member list.
+    pub fn members(&mut self) -> Vec<u64> {
+        self.members.pop().unwrap_or_default()
+    }
+
+    /// Takes back the lists of a finished plan or record.
+    pub fn put(
+        &mut self,
+        mut segments: Vec<memif_hwsim::dma::SgSegment>,
+        mut pages: Vec<PagePlan>,
+        members: Vec<u64>,
+    ) {
+        if segments.capacity() > 0 {
+            segments.clear();
+            self.segments.push(segments);
+        }
+        if pages.capacity() > 0 {
+            pages.clear();
+            self.pages.push(pages);
+        }
+        self.put_members(members);
+    }
+
+    /// Takes back a batch-member list.
+    pub fn put_members(&mut self, mut members: Vec<u64>) {
+        if members.capacity() > 0 {
+            members.clear();
+            self.members.push(members);
+        }
+    }
 }
 
 /// Per-shard kernel-worker state. Each issue shard owns one worker: its
@@ -236,6 +313,9 @@ pub(crate) struct IssueShard {
     pub deferred: Vec<memif_lockfree::Dequeued>,
     /// Planning scratch buffers, reused across this shard's requests.
     pub scratch: PlanScratch,
+    /// Batch assembly and issue buffers, reused across this shard's
+    /// batches.
+    pub batch: BatchScratch,
     /// This shard's worker CPU is occupied until this instant (a worker
     /// prepares requests one at a time even when transfers overlap).
     pub busy_until: SimTime,
@@ -271,7 +351,120 @@ pub(crate) struct IssueShard {
     /// **and** two or more tenants are queued on the shard; otherwise
     /// the plain FIFO prefix drain never touches it, keeping
     /// single-tenant event logs byte-identical.
-    pub pending: BTreeMap<u16, VecDeque<memif_lockfree::Dequeued>>,
+    pub pending: TenantQueues<memif_lockfree::Dequeued>,
+}
+
+/// FIFO queues keyed by tenant id. A tenant is listed exactly while its
+/// queue is non-empty; an emptied queue's buffer is kept for the next
+/// tenant listed, so steady-state listing allocates nothing. Reads go
+/// through `Deref` to the map.
+#[derive(Debug)]
+pub(crate) struct TenantQueues<T> {
+    lists: BTreeMap<u16, VecDeque<T>>,
+    idle: Vec<VecDeque<T>>,
+}
+
+impl<T> Default for TenantQueues<T> {
+    fn default() -> Self {
+        TenantQueues {
+            lists: BTreeMap::new(),
+            idle: Vec::new(),
+        }
+    }
+}
+
+impl<T> TenantQueues<T> {
+    /// Appends `item` to `tenant`'s queue, listing the tenant if needed.
+    pub fn push(&mut self, tenant: u16, item: T) {
+        let idle = &mut self.idle;
+        self.lists
+            .entry(tenant)
+            .or_insert_with(|| idle.pop().unwrap_or_default())
+            .push_back(item);
+    }
+
+    /// Takes the front of `tenant`'s queue, unlisting the tenant when its
+    /// queue empties.
+    pub fn take_front(&mut self, tenant: u16) -> Option<T> {
+        let queue = self.lists.get_mut(&tenant)?;
+        let item = queue.pop_front();
+        if queue.is_empty() {
+            if let Some(empty) = self.lists.remove(&tenant) {
+                self.idle.push(empty);
+            }
+        }
+        item
+    }
+}
+
+impl<T> std::ops::Deref for TenantQueues<T> {
+    type Target = BTreeMap<u16, VecDeque<T>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.lists
+    }
+}
+
+/// What the driver keeps about a request between submit and notify.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RequestRecord {
+    pub submitted_at: SimTime,
+    /// Source and destination node of a planned migration, credited to
+    /// the per-node move counters at retirement (the plan knows the
+    /// source node, the retire site no longer does).
+    pub route: Option<(u16, u16)>,
+}
+
+/// Records of the requests submitted but not yet notified, by request
+/// id. Ids are handed out densely in increasing order, so the records
+/// sit in a ring that starts at the oldest request not yet notified;
+/// submit and notify cost no hashing and, once the ring has spanned the
+/// widest window of the run, no allocation.
+#[derive(Debug, Default)]
+pub(crate) struct Outstanding {
+    /// Request id of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<RequestRecord>>,
+}
+
+impl Outstanding {
+    /// Records newly submitted request `id` (ids arrive in increasing
+    /// order).
+    pub fn insert(&mut self, id: u64, record: RequestRecord) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        debug_assert!(
+            id >= self.base,
+            "request {id} submitted after its successors"
+        );
+        let Some(index) = id.checked_sub(self.base) else {
+            return;
+        };
+        let index = usize::try_from(index).expect("window fits memory");
+        if self.slots.len() <= index {
+            self.slots.resize(index + 1, None);
+        }
+        self.slots[index] = Some(record);
+    }
+
+    /// The record of outstanding request `id`.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut RequestRecord> {
+        let index = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(index)?.as_mut()
+    }
+
+    /// Removes and returns the record of request `id`: `None` if it was
+    /// never submitted or was already notified.
+    pub fn remove(&mut self, id: u64) -> Option<RequestRecord> {
+        let index = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let record = self.slots.get_mut(index)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        record
+    }
 }
 
 /// A request held back at submit time by QoS admission control. It has
@@ -301,6 +494,8 @@ pub struct MemifDevice {
     /// Completion log.
     pub log: Vec<CompletionRecord>,
     pub(crate) inflight: Vec<Inflight>,
+    /// Vectors of retired in-flight records, reused by later plans.
+    pub(crate) spare: SparePool,
     /// Per-shard worker state; length = `config.issue_shards` (min 1).
     pub(crate) shards: Vec<IssueShard>,
     /// Byte spans of every in-flight request (source, plus replication
@@ -310,16 +505,12 @@ pub struct MemifDevice {
     pub(crate) spans: memif_lockfree::InflightIndex,
     pub(crate) next_req_id: u64,
     pub(crate) next_token: u64,
-    pub(crate) submit_times: HashMap<u64, SimTime>,
-    /// Source/destination node of each planned migration, keyed by
-    /// request id; consumed at retirement to credit the per-node move
-    /// counters (the plan knows the source node, the retire site no
-    /// longer does).
-    pub(crate) routes: HashMap<u64, (u16, u16)>,
+    /// Every submitted request not yet notified, by request id.
+    pub(crate) outstanding: Outstanding,
     pub(crate) pollers: Vec<SimEvent>,
     /// Requests parked by admission control, FIFO per tenant. Only ever
     /// non-empty when `qos` is on.
-    pub(crate) parked: BTreeMap<u16, VecDeque<ParkedReq>>,
+    pub(crate) parked: TenantQueues<ParkedReq>,
     /// Round-robin cursor over `parked` tenants: each retire re-admits
     /// starting *after* the last served tenant, so no parked tenant is
     /// structurally favored.
@@ -354,14 +545,14 @@ impl MemifDevice {
             stats: DriverStats::default(),
             log: Vec::new(),
             inflight: Vec::new(),
+            spare: SparePool::default(),
             shards: (0..shard_count).map(|_| IssueShard::default()).collect(),
             spans: memif_lockfree::InflightIndex::new(),
             next_req_id: 0,
             next_token: 0,
-            submit_times: HashMap::new(),
-            routes: HashMap::new(),
+            outstanding: Outstanding::default(),
             pollers: Vec::new(),
-            parked: BTreeMap::new(),
+            parked: TenantQueues::default(),
             park_cursor: 0,
         })
     }
@@ -402,11 +593,19 @@ impl MemifDevice {
     /// Removes the in-flight record at `index`, dropping its byte spans
     /// from the cross-shard overlap index in the same motion. Every
     /// terminal path (release, abort, failure teardown) retires records
-    /// through here so the index can never leak a span.
+    /// through here so the index can never leak a span, and hands the
+    /// record back through [`MemifDevice::recycle`] once it is done with
+    /// it.
     pub(crate) fn take_inflight(&mut self, index: usize) -> Inflight {
         let inflight = self.inflight.remove(index);
         self.spans.remove(inflight.token);
         inflight
+    }
+
+    /// Returns a retired record's vectors to the spare pool.
+    pub(crate) fn recycle(&mut self, inflight: Inflight) {
+        self.spare
+            .put(inflight.segments, inflight.pages, inflight.batch_members);
     }
 
     /// The poll threshold in effect (§5.4): config override or the cost

@@ -11,6 +11,16 @@ use crate::driver::{dev, dev_mut};
 use crate::event::SimEvent;
 use crate::system::System;
 
+/// Performs the byte copies of in-flight record `index`'s segments. The
+/// device table and physical memory are disjoint fields of the system,
+/// so the segment list is read in place.
+pub(crate) fn copy_segments(sys: &mut System, id: DeviceId, index: usize) {
+    let device = sys.devices[id.0].as_ref().expect("device open");
+    for seg in &device.inflight[index].segments {
+        sys.phys.copy(seg.src, seg.dst, seg.bytes);
+    }
+}
+
 /// Runs when the DMA engine finishes (or errors out) a device's
 /// transfer.
 pub(crate) fn on_dma_complete(
@@ -71,9 +81,10 @@ pub(crate) fn on_dma_complete(
         // off this (single) error interrupt; the faulting request and
         // everything after it retry or degrade individually.
         for t in std::iter::once(token).chain(members) {
-            let Some(i) = dev_mut(sys, id).inflight.iter_mut().find(|i| i.token == t) else {
+            let Some(pos) = dev(sys, id).inflight.iter().position(|i| i.token == t) else {
                 continue; // aborted mid-flight
             };
+            let i = &mut dev_mut(sys, id).inflight[pos];
             i.batch_leader = None;
             let rid = i.req.id;
             let own_bytes: u64 = i.segments.iter().map(|s| s.bytes).sum();
@@ -84,10 +95,7 @@ pub(crate) fn on_dma_complete(
                 if let Some(w) = i.watchdog.take() {
                     sim.cancel(w);
                 }
-                let segments = i.segments.clone();
-                for seg in &segments {
-                    sys.phys.copy(seg.src, seg.dst, seg.bytes);
-                }
+                copy_segments(sys, id, pos);
                 sys.journal.copy_done(id, rid);
                 sim.schedule_after(
                     irq_cost,
@@ -108,11 +116,8 @@ pub(crate) fn on_dma_complete(
     // found request's own segments plus, for a chained batch, each
     // surviving member's.
     let member_tokens = std::mem::take(&mut dev_mut(sys, id).inflight[index].batch_members);
-    let segments = dev(sys, id).inflight[index].segments.clone();
     let leader_req = dev(sys, id).inflight[index].req.id;
-    for seg in &segments {
-        sys.phys.copy(seg.src, seg.dst, seg.bytes);
-    }
+    copy_segments(sys, id, index);
     sys.journal.copy_done(id, leader_req);
     // Crash point: the leader's bytes are applied and journaled
     // CopyDone, the members' are not — the asymmetric mid-chain state
@@ -121,17 +126,11 @@ pub(crate) fn on_dma_complete(
         return;
     }
     for t in &member_tokens {
-        let Some((segs, member_req)) = dev(sys, id)
-            .inflight
-            .iter()
-            .find(|i| i.token == *t)
-            .map(|i| (i.segments.clone(), i.req.id))
-        else {
+        let Some(pos) = dev(sys, id).inflight.iter().position(|i| i.token == *t) else {
             continue; // aborted mid-flight; its remap was rolled back
         };
-        for seg in &segs {
-            sys.phys.copy(seg.src, seg.dst, seg.bytes);
-        }
+        copy_segments(sys, id, pos);
+        let member_req = dev(sys, id).inflight[pos].req.id;
         sys.journal.copy_done(id, member_req);
     }
     let held_tc = dev_mut(sys, id).inflight[index].tc.take();
@@ -230,6 +229,8 @@ pub(crate) fn on_dma_complete(
             );
         }
     }
+    // The batch is disbanded: its roster returns to the spare pool.
+    dev_mut(sys, id).spare.put_members(member_tokens);
 }
 
 /// Release + Notify on the interrupt path, after the interrupt entry
@@ -311,7 +312,6 @@ pub(crate) fn release_and_notify(
     let Inflight {
         req,
         slot,
-        pages,
         page_size,
         dma_started_at,
         ..
@@ -323,7 +323,7 @@ pub(crate) fn release_and_notify(
     let mut races = 0u64;
 
     // Op 4 — Release (migration only; replication needs no VM work).
-    for page in &pages {
+    for page in &inflight.pages {
         match race_mode {
             RaceMode::DetectFail => {
                 // Clear the young bit with a CAS; failure means the entry
@@ -411,11 +411,12 @@ pub(crate) fn release_and_notify(
         }
         cost += sys.cost.page_free;
     }
-    if !pages.is_empty() {
-        let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::Release, cost);
-        stats.races_detected += races;
+    let device = dev_mut(sys, id);
+    if !inflight.pages.is_empty() {
+        device.stats.phases.add(Phase::Release, cost);
+        device.stats.races_detected += races;
     }
+    device.recycle(inflight);
     sys.meter.charge(ctx, cost);
 
     // Races are program errors under proceed-and-fail: the application
@@ -474,13 +475,13 @@ pub(crate) fn notify(
     // submit timestamp, so a second pass for the same request means a
     // retire site re-entered — site 4/5 teardowns and the three release
     // paths must be mutually exclusive per request.
-    let submitted_at = device.submit_times.remove(&req.id);
+    let record = device.outstanding.remove(req.id);
     debug_assert!(
-        submitted_at.is_some(),
+        record.is_some(),
         "request {} notified twice (retire-site re-entry)",
         req.id
     );
-    let submitted_at = submitted_at.unwrap_or(now);
+    let submitted_at = record.map_or(now, |r| r.submitted_at);
     device.log.push(CompletionRecord {
         req_id: req.id,
         kind: req.kind,
@@ -490,7 +491,7 @@ pub(crate) fn notify(
         completed_at: now,
         status,
     });
-    let route = device.routes.remove(&req.id);
+    let route = record.and_then(|r| r.route);
     if status.is_failure() {
         device.stats.failed += 1;
     } else {
@@ -525,9 +526,7 @@ pub(crate) fn notify(
 
     // Wake anyone sleeping in poll() — the notification itself needed no
     // syscall, unlike epoll/kqueue (§7).
-    let device = dev_mut(sys, id);
-    let wakers = std::mem::take(&mut device.pollers);
-    for waker in wakers {
+    for waker in dev_mut(sys, id).pollers.drain(..) {
         sim.schedule_after(SimDuration::ZERO, waker);
     }
     cost

@@ -7,7 +7,7 @@ use memif_lockfree::{Dequeued, FailReason, MovReq, MoveKind, MoveStatus};
 use memif_mm::{PageSize, Pte, VirtAddr};
 
 use crate::config::RaceMode;
-use crate::device::{DeviceId, Inflight, PagePlan, PlanScratch};
+use crate::device::{BatchScratch, DeviceId, Inflight, PagePlan, PlanScratch};
 use crate::driver::{complete, dev, dev_mut, fault};
 use crate::event::SimEvent;
 use crate::system::System;
@@ -21,7 +21,11 @@ pub(crate) enum ExecOutcome {
     Rejected,
 }
 
-struct Plan {
+/// A validated request's execution plan. Its two vectors are drawn from
+/// the device's spare pool and ride the in-flight record once the
+/// request issues; a plan that goes no further returns them.
+#[derive(Debug)]
+pub(crate) struct Plan {
     segments: Vec<SgSegment>,
     pages: Vec<PagePlan>,
     page_size: PageSize,
@@ -29,6 +33,28 @@ struct Plan {
     remap_cost: SimDuration,
     /// Segments eliminated by coalescing (0 with coalescing off).
     coalesced_away: u64,
+}
+
+impl Plan {
+    /// An empty plan over vectors from device `id`'s spare pool.
+    fn draw(sys: &mut System, id: DeviceId) -> Plan {
+        let spare = &mut dev_mut(sys, id).spare;
+        Plan {
+            segments: spare.segments(),
+            pages: spare.pages(),
+            page_size: PageSize::Small4K,
+            prep_cost: SimDuration::ZERO,
+            remap_cost: SimDuration::ZERO,
+            coalesced_away: 0,
+        }
+    }
+
+    /// Returns the plan's vectors to device `id`'s spare pool.
+    fn recycle(self, sys: &mut System, id: DeviceId) {
+        dev_mut(sys, id)
+            .spare
+            .put(self.segments, self.pages, Vec::new());
+    }
 }
 
 /// Merges adjacent segments whose source **and** destination runs are
@@ -75,9 +101,9 @@ fn record_route(sys: &mut System, id: DeviceId, req: &MovReq, plan: &Plan) {
     }
     let src = plan.pages.first().and_then(|p| sys.node_of(p.old_frame));
     if let Some(src) = src {
-        dev_mut(sys, id)
-            .routes
-            .insert(req.id, (src.0, req.dst_node));
+        if let Some(record) = dev_mut(sys, id).outstanding.get_mut(req.id) {
+            record.route = Some((src.0, req.dst_node));
+        }
     }
 }
 
@@ -149,17 +175,16 @@ pub(crate) fn execute_attempt(
     let mut elapsed = SimDuration::ZERO;
 
     let mut scratch = std::mem::take(&mut dev_mut(sys, id).shards[shard].scratch);
-    let planned = plan_request(sys, id, &req, &mut scratch);
+    let mut plan = Plan::draw(sys, id);
+    let planned = plan_request(sys, id, &req, &mut scratch, &mut plan);
     dev_mut(sys, id).shards[shard].scratch = scratch;
-    let plan = match planned {
-        Ok(p) => p,
-        Err((status, cost)) => {
-            elapsed += cost;
-            sys.meter.charge(ctx, cost);
-            complete::notify(sys, sim, id, deq.slot, req, status, None, ctx);
-            return (elapsed, ExecOutcome::Rejected);
-        }
-    };
+    if let Err((status, cost)) = planned {
+        plan.recycle(sys, id);
+        elapsed += cost;
+        sys.meter.charge(ctx, cost);
+        complete::notify(sys, sim, id, deq.slot, req, status, None, ctx);
+        return (elapsed, ExecOutcome::Rejected);
+    }
     record_coalescing(sys, id, &plan);
 
     // Charge Prep and Remap.
@@ -175,7 +200,7 @@ pub(crate) fn execute_attempt(
     // switch follows the device's configuration (ablation A1).
     sys.dma
         .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    let cfg = match sys.dma.configure_segments(plan.segments.clone(), &sys.cost) {
+    let cfg = match sys.dma.configure_segments(&plan.segments, &sys.cost) {
         Ok(cfg) => cfg,
         Err(memif_hwsim::dma::ChainError::AllBusy) => {
             // Every descriptor is tied up in other tenants' in-flight
@@ -204,6 +229,7 @@ pub(crate) fn execute_attempt(
                     return (elapsed, ExecOutcome::Launched);
                 }
                 undo_remap(sys, id, &plan);
+                plan.recycle(sys, id);
                 complete::notify(
                     sys,
                     sim,
@@ -221,6 +247,7 @@ pub(crate) fn execute_attempt(
             // backoff; under chaos the backoff doubles per attempt and
             // the budget above bounds it.
             undo_remap(sys, id, &plan);
+            plan.recycle(sys, id);
             let (backoff, next_attempt) = if chaos {
                 dev_mut(sys, id).stats.retries += 1;
                 (base_backoff * (1u64 << attempt.min(16)), attempt + 1)
@@ -250,6 +277,7 @@ pub(crate) fn execute_attempt(
             // (validation bounds nr_pages by the pool size and plans use
             // one uniform page size, so this is belt-and-braces).
             undo_remap(sys, id, &plan);
+            plan.recycle(sys, id);
             complete::notify(sys, sim, id, deq.slot, req, MoveStatus::Invalid, None, ctx);
             return (elapsed, ExecOutcome::Rejected);
         }
@@ -285,7 +313,7 @@ pub(crate) fn execute_attempt(
         sim.now(),
         elapsed,
         ctx,
-        format!("ops 1-3: prep+remap+cfg ({} pages)", req.nr_pages),
+        format_args!("ops 1-3: prep+remap+cfg ({} pages)", req.nr_pages),
         Some(req.id),
     );
     // The transfer begins once the CPU-side work above has elapsed.
@@ -388,12 +416,13 @@ fn register_inflight(
 /// once, completing with a single interrupt whose handler fans status
 /// back out per request. Per-member plan rejections notify that member
 /// alone; descriptor exhaustion disbands the batch into per-member
-/// retries so no request is ever dropped.
+/// retries so no request is ever dropped. The members come in
+/// `batch.members`; every buffer of `batch` is left empty.
 pub(crate) fn execute_batch(
     sys: &mut System,
     sim: &mut memif_hwsim::Sim<System>,
     id: DeviceId,
-    batch: Vec<Dequeued>,
+    batch: &mut BatchScratch,
     ctx: Context,
     shard: usize,
 ) -> (SimDuration, ExecOutcome) {
@@ -402,11 +431,12 @@ pub(crate) fn execute_batch(
     // Plan every member. Rejections drop out of the batch here with
     // their failure notification; survivors have their remaps installed.
     let mut scratch = std::mem::take(&mut dev_mut(sys, id).shards[shard].scratch);
-    let mut planned: Vec<(Dequeued, Plan)> = Vec::with_capacity(batch.len());
-    for deq in batch {
-        match plan_request(sys, id, &deq.req, &mut scratch) {
-            Ok(p) => planned.push((deq, p)),
+    for deq in batch.members.drain(..) {
+        let mut plan = Plan::draw(sys, id);
+        match plan_request(sys, id, &deq.req, &mut scratch, &mut plan) {
+            Ok(()) => batch.planned.push((deq, plan)),
             Err((status, cost)) => {
+                plan.recycle(sys, id);
                 elapsed += cost;
                 sys.meter.charge(ctx, cost);
                 complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
@@ -414,14 +444,14 @@ pub(crate) fn execute_batch(
         }
     }
     dev_mut(sys, id).shards[shard].scratch = scratch;
-    if planned.is_empty() {
+    if batch.planned.is_empty() {
         return (elapsed, ExecOutcome::Rejected);
     }
 
     // Charge Prep and Remap for every member.
     let mut prep = SimDuration::ZERO;
     let mut remap = SimDuration::ZERO;
-    for (_, p) in &planned {
+    for (_, p) in &batch.planned {
         record_coalescing(sys, id, p);
         prep += p.prep_cost;
         remap += p.remap_cost;
@@ -437,11 +467,14 @@ pub(crate) fn execute_batch(
     // Op 3, once: program the concatenated chain.
     sys.dma
         .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    let combined: Vec<SgSegment> = planned
-        .iter()
-        .flat_map(|(_, p)| p.segments.iter().copied())
-        .collect();
-    let cfg = match sys.dma.configure_segments(combined, &sys.cost) {
+    batch.chain.clear();
+    batch.chain.extend(
+        batch
+            .planned
+            .iter()
+            .flat_map(|(_, p)| p.segments.iter().copied()),
+    );
+    let cfg = match sys.dma.configure_segments(&batch.chain, &sys.cost) {
         Ok(cfg) => cfg,
         Err(memif_hwsim::dma::ChainError::AllBusy) => {
             // Descriptor exhaustion: disband. Each member's remap rolls
@@ -451,8 +484,9 @@ pub(crate) fn execute_batch(
             let chaos = sys.chaos_enabled();
             let base_backoff = dev(sys, id).config.retry_backoff;
             let next_attempt = u32::from(chaos);
-            for (deq, plan) in planned {
+            for (deq, plan) in batch.planned.drain(..) {
                 undo_remap(sys, id, &plan);
+                plan.recycle(sys, id);
                 if chaos {
                     dev_mut(sys, id).stats.retries += 1;
                 }
@@ -474,8 +508,9 @@ pub(crate) fn execute_batch(
         Err(_) => {
             // Geometry errors (belt-and-braces: assembly bounds the
             // total page count by the pool size).
-            for (deq, plan) in planned {
+            for (deq, plan) in batch.planned.drain(..) {
                 undo_remap(sys, id, &plan);
+                plan.recycle(sys, id);
                 complete::notify(
                     sys,
                     sim,
@@ -492,15 +527,16 @@ pub(crate) fn execute_batch(
     };
     sys.meter.charge(ctx, cfg.config_cost);
     elapsed += cfg.config_cost;
+    let n = batch.planned.len();
     {
         let stats = &mut dev_mut(sys, id).stats;
         stats.phases.add(Phase::DmaConfig, cfg.config_cost);
         stats.descriptors_written += cfg.descriptors as u64;
-        if planned.len() >= 2 {
-            stats.requests_batched += planned.len() as u64;
+        if n >= 2 {
+            stats.requests_batched += n as u64;
         }
     }
-    for (deq, plan) in &planned {
+    for (deq, plan) in &batch.planned {
         record_route(sys, id, &deq.req, plan);
         // Codec work for the whole chain, member by member.
         elapsed += codec_charge(sys, &plan.segments, ctx);
@@ -511,13 +547,16 @@ pub(crate) fn execute_batch(
     // by the combined size. Members remember their own-size mode for
     // the day they are split off into solo retries.
     let batch_interrupt = cfg.bytes >= threshold;
-    let n = planned.len();
     let mut cfg_slot = Some(cfg);
     let mut offset = 0u64;
     let mut leader_token = 0u64;
-    let mut member_tokens = Vec::with_capacity(n.saturating_sub(1));
+    let mut member_tokens = if n >= 2 {
+        dev_mut(sys, id).spare.members()
+    } else {
+        Vec::new()
+    };
     let mut total_pages = 0u32;
-    for (i, (deq, plan)) in planned.into_iter().enumerate() {
+    for (i, (deq, plan)) in batch.planned.drain(..).enumerate() {
         let own_bytes: u64 = plan.segments.iter().map(|s| s.bytes).sum();
         let interrupt_mode = if i == 0 {
             batch_interrupt
@@ -564,7 +603,7 @@ pub(crate) fn execute_batch(
         sim.now(),
         elapsed,
         ctx,
-        format!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)"),
+        format_args!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)"),
         dev(sys, id)
             .inflight
             .iter()
@@ -627,7 +666,7 @@ pub(crate) fn launch(
         inflight.dma_started_at = Some(now);
     }
     // Batch members ride this launch: stamp their DMA start too.
-    let member_tokens = inflight.batch_members.clone();
+    let member_tokens = std::mem::take(&mut inflight.batch_members);
     for m in &member_tokens {
         if let Some(i) = dev_mut(sys, id).inflight.iter_mut().find(|i| i.token == *m) {
             if i.dma_started_at.is_none() {
@@ -635,9 +674,14 @@ pub(crate) fn launch(
             }
         }
     }
-    let (src, dst) = (cfg.segments[0].src, cfg.segments[0].dst);
-    let src_node = sys.node_of(src).expect("segment in a known bank");
-    let dst_node = sys.node_of(dst).expect("segment in a known bank");
+    dev_mut(sys, id)
+        .inflight
+        .iter_mut()
+        .find(|i| i.token == token)
+        .expect("still inflight")
+        .batch_members = member_tokens;
+    let src_node = sys.node_of(cfg.first.src).expect("segment in a known bank");
+    let dst_node = sys.node_of(cfg.first.dst).expect("segment in a known bank");
     let route = sys.dma_route_on(tc, src_node, dst_node);
     let demand = sys.cost.dma_engine_bw_gbps;
     let ticket = sys.dma.launch(&cfg, demand);
@@ -841,22 +885,16 @@ pub(crate) fn retry_launch(
     if sys.device(id).is_none() {
         return;
     }
-    let Some(segments) = dev(sys, id)
-        .inflight
-        .iter()
-        .find(|i| i.token == token)
-        .map(|i| i.segments.clone())
-    else {
-        return; // aborted while backing off
-    };
-    let req_id = dev(sys, id)
-        .inflight
-        .iter()
-        .find(|i| i.token == token)
-        .map(|i| i.req.id);
     sys.dma
         .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    match sys.dma.configure_segments(segments, &sys.cost) {
+    // The device and the engine are disjoint fields: the segment list is
+    // programmed in place.
+    let device = sys.devices[id.0].as_ref().expect("device open");
+    let Some(inflight) = device.inflight.iter().find(|i| i.token == token) else {
+        return; // aborted while backing off
+    };
+    let req_id = Some(inflight.req.id);
+    match sys.dma.configure_segments(&inflight.segments, &sys.cost) {
         Ok(cfg) => {
             let cost = cfg.config_cost;
             sys.meter.charge(Context::KernelThread, cost);
@@ -928,10 +966,7 @@ pub(crate) fn degrade_or_fail(
         sys.cost.cpu_copy(bytes)
     };
     sys.meter.charge(Context::KernelThread, copy_cost);
-    let segments = dev(sys, id).inflight[index].segments.clone();
-    for seg in &segments {
-        sys.phys.copy(seg.src, seg.dst, seg.bytes);
-    }
+    complete::copy_segments(sys, id, index);
     let (req_id, shard) = {
         let device = dev_mut(sys, id);
         device.stats.fallbacks += 1;
@@ -1014,14 +1049,15 @@ fn launch_next_waiting(sys: &mut System, sim: &mut memif_hwsim::Sim<System>) {
     }
 }
 
-/// Validates a request and builds its execution plan.
-#[allow(clippy::type_complexity)]
+/// Validates a request and builds its execution plan into `plan`, whose
+/// vectors arrive empty.
 fn plan_request(
     sys: &mut System,
     id: DeviceId,
     req: &MovReq,
     scratch: &mut PlanScratch,
-) -> Result<Plan, (MoveStatus, SimDuration)> {
+    plan: &mut Plan,
+) -> Result<(), (MoveStatus, SimDuration)> {
     let device = dev(sys, id);
     let owner = device.owner;
     let gang = device.config.gang_lookup;
@@ -1049,25 +1085,15 @@ fn plan_request(
         return Err((MoveStatus::Invalid, validate_cost));
     }
 
+    plan.page_size = page_size;
     match req.kind {
-        MoveKind::Replicate => {
-            plan_replication(sys, owner, req, page_size, gang, coalesce, scratch)
-        }
-        MoveKind::Migrate => plan_migration(
-            sys, owner, req, page_size, gang, race_mode, coalesce, scratch,
-        ),
+        MoveKind::Replicate => plan_replication(sys, owner, req, gang, scratch, plan)?,
+        MoveKind::Migrate => plan_migration(sys, owner, req, gang, race_mode, scratch, plan)?,
     }
-}
-
-/// Finalizes a plan's segment list from the scratch build area:
-/// coalesces in place when enabled, then copies out at exact size.
-fn finish_segments(coalesce: bool, scratch: &mut PlanScratch) -> (Vec<SgSegment>, u64) {
-    let coalesced_away = if coalesce {
-        coalesce_in_place(&mut scratch.segments)
-    } else {
-        0
-    };
-    (scratch.segments.clone(), coalesced_away)
+    if coalesce {
+        plan.coalesced_away = coalesce_in_place(&mut plan.segments);
+    }
+    Ok(())
 }
 
 fn lookup_cost(sys: &System, stats: memif_mm::WalkStats) -> SimDuration {
@@ -1079,11 +1105,11 @@ fn plan_replication(
     sys: &mut System,
     owner: crate::system::SpaceId,
     req: &MovReq,
-    page_size: PageSize,
     gang: bool,
-    coalesce: bool,
     scratch: &mut PlanScratch,
-) -> Result<Plan, (MoveStatus, SimDuration)> {
+    plan: &mut Plan,
+) -> Result<(), (MoveStatus, SimDuration)> {
+    let page_size = plan.page_size;
     let src = VirtAddr::new(req.src_base);
     let dst = VirtAddr::new(req.dst_base);
     let len = u64::from(req.nr_pages) * page_size.bytes();
@@ -1107,11 +1133,10 @@ fn plan_replication(
     let mut prep_cost = lookup_cost(sys, s1) + lookup_cost(sys, s2);
     prep_cost += sys.cost.gang_bookkeeping * u64::from(req.nr_pages);
 
-    scratch.segments.clear();
     for (s, d) in scratch.ptes.iter().zip(&scratch.dst_ptes) {
         match (s, d) {
             (Some(sp), Some(dp)) if sp.is_present() && dp.is_present() => {
-                scratch.segments.push(SgSegment {
+                plan.segments.push(SgSegment {
                     src: sp.frame(),
                     dst: dp.frame(),
                     bytes: page_size.bytes(),
@@ -1120,28 +1145,20 @@ fn plan_replication(
             _ => return Err((MoveStatus::Invalid, prep_cost)),
         }
     }
-    let (segments, coalesced_away) = finish_segments(coalesce, scratch);
-    Ok(Plan {
-        segments,
-        pages: Vec::new(),
-        page_size,
-        prep_cost,
-        remap_cost: SimDuration::ZERO,
-        coalesced_away,
-    })
+    plan.prep_cost = prep_cost;
+    Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn plan_migration(
     sys: &mut System,
     owner: crate::system::SpaceId,
     req: &MovReq,
-    page_size: PageSize,
     gang: bool,
     race_mode: RaceMode,
-    coalesce: bool,
     scratch: &mut PlanScratch,
-) -> Result<Plan, (MoveStatus, SimDuration)> {
+    plan: &mut Plan,
+) -> Result<(), (MoveStatus, SimDuration)> {
+    let page_size = plan.page_size;
     let src = VirtAddr::new(req.src_base);
     let dst_node = memif_hwsim::NodeId(req.dst_node);
     if sys.topo.node(dst_node).is_none() {
@@ -1154,7 +1171,8 @@ fn plan_migration(
             .lookup_range_into(src, req.nr_pages, page_size, gang, &mut scratch.ptes);
     let mut prep_cost = lookup_cost(sys, walk);
     prep_cost += sys.cost.gang_bookkeeping * u64::from(req.nr_pages);
-    let mut originals = Vec::with_capacity(req.nr_pages as usize);
+    let originals = &mut scratch.originals;
+    originals.clear();
     for (i, pte) in scratch.ptes.iter().enumerate() {
         match pte {
             Some(p) if p.is_present() => {
@@ -1166,12 +1184,13 @@ fn plan_migration(
 
     // Op 2 (first half): allocate every destination page up front so a
     // mid-request exhaustion leaves the address space untouched.
-    let mut new_frames = Vec::with_capacity(originals.len());
-    for _ in &originals {
+    let new_frames = &mut scratch.new_frames;
+    new_frames.clear();
+    for _ in 0..originals.len() {
         match sys.alloc.alloc(dst_node, page_size) {
             Ok(f) => new_frames.push(f),
             Err(_) => {
-                for f in new_frames {
+                for f in new_frames.drain(..) {
                     let _ = sys.alloc.free(f);
                 }
                 let cost = prep_cost + sys.cost.page_alloc * u64::from(req.nr_pages);
@@ -1184,9 +1203,8 @@ fn plan_migration(
     // (frames also mapped by other spaces) are discovered through the
     // reverse map; remote mappers get Linux-style migration entries for
     // the transfer window and are rewritten at Release (§6.7 extension).
-    let mut pages = Vec::with_capacity(originals.len());
     let mut remap_cost = sys.cost.page_alloc * originals.len() as u64;
-    for ((vaddr, original), new_frame) in originals.into_iter().zip(new_frames) {
+    for (&(vaddr, original), &new_frame) in originals.iter().zip(new_frames.iter()) {
         let shared = sys
             .alloc
             .frame_info(original.frame())
@@ -1231,7 +1249,7 @@ fn plan_migration(
             rspace.tlb_mut().flush_page(*rva, page_size);
             remap_cost += sys.cost.pte_update_with_flush();
         }
-        pages.push(PagePlan {
+        plan.pages.push(PagePlan {
             vaddr,
             old_frame: original.frame(),
             new_frame,
@@ -1242,21 +1260,14 @@ fn plan_migration(
         });
     }
 
-    scratch.segments.clear();
-    scratch.segments.extend(pages.iter().map(|p| SgSegment {
+    plan.segments.extend(plan.pages.iter().map(|p| SgSegment {
         src: p.old_frame,
         dst: p.new_frame,
         bytes: page_size.bytes(),
     }));
-    let (segments, coalesced_away) = finish_segments(coalesce, scratch);
-    Ok(Plan {
-        segments,
-        pages,
-        page_size,
-        prep_cost,
-        remap_cost,
-        coalesced_away,
-    })
+    plan.prep_cost = prep_cost;
+    plan.remap_cost = remap_cost;
+    Ok(())
 }
 
 /// Rolls Remap back after a post-remap failure (descriptor exhaustion).

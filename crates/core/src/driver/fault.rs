@@ -196,29 +196,36 @@ pub(crate) fn teardown_inflight(
         cost += sys.cost.page_free;
     }
     sys.meter.charge(Context::Syscall, cost);
+    let (slot, req, dma_started_at, shard) = (
+        inflight.slot,
+        inflight.req,
+        inflight.dma_started_at,
+        inflight.shard,
+    );
     {
-        let stats = &mut dev_mut(sys, id).stats;
+        let device = dev_mut(sys, id);
         if status == MoveStatus::Aborted {
-            stats.aborts += 1;
+            device.stats.aborts += 1;
         }
-        stats.phases.add(Phase::Release, cost);
+        device.stats.phases.add(Phase::Release, cost);
+        device.recycle(inflight);
     }
 
     complete::notify(
         sys,
         sim,
         id,
-        inflight.slot,
-        inflight.req,
+        slot,
+        req,
         status,
-        inflight.dma_started_at,
+        dma_started_at,
         Context::Syscall,
     );
 
     // Let the owning shard's worker move on to queued requests.
     let wakeup = sys.cost.kthread_wakeup;
     sys.meter.charge(Context::KernelThread, wakeup);
-    sys.meter.attribute_worker(inflight.shard, wakeup);
-    crate::driver::schedule_worker_wake(sys, sim, id, inflight.shard, cost + wakeup);
-    crate::driver::wake_deferred_peers(sys, sim, id, inflight.shard, cost + wakeup);
+    sys.meter.attribute_worker(shard, wakeup);
+    crate::driver::schedule_worker_wake(sys, sim, id, shard, cost + wakeup);
+    crate::driver::wake_deferred_peers(sys, sim, id, shard, cost + wakeup);
 }

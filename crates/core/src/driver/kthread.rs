@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use memif_hwsim::{Context, Sim};
 use memif_lockfree::{Color, Dequeued, MovReq, QueueId};
 
-use crate::device::DeviceId;
+use crate::device::{BatchScratch, DeviceId};
 use crate::driver::exec::{execute_batch, execute_request};
 use crate::driver::{dev, dev_mut, region_fault};
 use crate::event::SimEvent;
@@ -120,7 +120,9 @@ fn run_round(
             dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
             sys.meter.attribute_worker(shard, elapsed);
             if dev(sys, id).config.qos {
-                dev_mut(sys, id).shards[shard].drr.charge(memif_qos::TenantId(tenant), bytes);
+                dev_mut(sys, id).shards[shard]
+                    .drr
+                    .charge(memif_qos::TenantId(tenant), bytes);
                 sys.meter.attribute_tenant(tenant, elapsed);
             }
             sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
@@ -166,14 +168,18 @@ fn run_round(
                 let tenant = deq.req.tenant;
                 let mut served_bytes = deq.req.len_bytes();
                 let (elapsed, _outcome) = if batch_max > 1 {
-                    let mut batch = assemble_batch(sys, id, shard, deq, batch_max);
-                    served_bytes = batch.iter().map(|d| d.req.len_bytes()).sum();
-                    if batch.len() == 1 {
-                        let deq = batch.pop().expect("one element");
+                    let mut batch = std::mem::take(&mut dev_mut(sys, id).shards[shard].batch);
+                    assemble_batch(sys, id, shard, deq, batch_max, &mut batch);
+                    served_bytes = batch.members.iter().map(|d| d.req.len_bytes()).sum();
+                    let out = if batch.members.len() == 1 {
+                        let deq = batch.members.pop().expect("one element");
                         execute_request(sys, sim, id, deq, Context::KernelThread, shard)
                     } else {
-                        execute_batch(sys, sim, id, batch, Context::KernelThread, shard)
-                    }
+                        execute_batch(sys, sim, id, &mut batch, Context::KernelThread, shard)
+                    };
+                    batch.clear();
+                    dev_mut(sys, id).shards[shard].batch = batch;
+                    out
                 } else {
                     execute_request(sys, sim, id, deq, Context::KernelThread, shard)
                 };
@@ -186,7 +192,9 @@ fn run_round(
                     // Weighted-fair accounting: the round's service bytes
                     // draw down the tenant's DRR deficit (a batch is one
                     // tenant — `assemble_batch` enforces it under QoS).
-                    dev_mut(sys, id).shards[shard].drr.charge(memif_qos::TenantId(tenant), served_bytes);
+                    dev_mut(sys, id).shards[shard]
+                        .drr
+                        .charge(memif_qos::TenantId(tenant), served_bytes);
                     sys.meter.attribute_tenant(tenant, elapsed);
                 }
                 sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
@@ -282,46 +290,33 @@ fn dequeue_next(
         let tenant = d.req.tenant;
         let device = dev_mut(sys, id);
         device.note_dequeued(shard, tenant);
-        device.shards[shard]
-            .pending
-            .entry(tenant)
-            .or_default()
-            .push_back(d);
+        device.shards[shard].pending.push(tenant, d);
     }
 
     // Serve the software queues weighted-fair. A single listed tenant
     // needs no arbitration; with several, DRR picks — `pick` always
-    // returns a tenant for a non-empty active set.
-    let tenants: Vec<u16> = dev(sys, id).shards[shard].pending.keys().copied().collect();
-    let choice = match tenants.len() {
+    // returns a tenant for a non-empty active set. The registry and the
+    // device are disjoint fields of the system, so the pick reads the
+    // listed tenants and their weights in place.
+    let qos = &sys.qos;
+    let worker = &mut sys.devices[id.0].as_mut().expect("device open").shards[shard];
+    let choice = match worker.pending.len() {
         0 => return Ok(None),
-        1 => tenants[0],
+        1 => *worker.pending.keys().next().expect("one listed tenant"),
         _ => {
-            let pairs: Vec<(TenantId, u32)> = tenants
-                .iter()
-                .map(|t| (TenantId(*t), sys.qos.weight(TenantId(*t))))
-                .collect();
-            dev_mut(sys, id).shards[shard]
+            worker
                 .drr
-                .pick(pairs.iter().map(|(t, _)| *t), |t| {
-                    pairs
-                        .iter()
-                        .find(|(x, _)| *x == t)
-                        .map_or(1, |(_, w)| *w)
+                .pick(worker.pending.keys().map(|t| TenantId(*t)), |t| {
+                    qos.weight(t)
                 })
                 .expect("DRR pick on a non-empty active set")
                 .0
         }
     };
-    let device = dev_mut(sys, id);
-    let queue = device.shards[shard]
+    let d = worker
         .pending
-        .get_mut(&choice)
-        .expect("picked tenant is listed");
-    let d = queue.pop_front().expect("listed tenants have requests");
-    if queue.is_empty() {
-        device.shards[shard].pending.remove(&choice);
-    }
+        .take_front(choice)
+        .expect("listed tenants have requests");
     Ok(Some(d))
 }
 
@@ -334,14 +329,16 @@ fn dequeue_next(
 /// shards. Incompatible requests are left in place, in order. Each
 /// extra probe pays a queue operation like the solo path's; a region
 /// fault merely stops assembly — the already-drained requests must
-/// still be served.
+/// still be served. The batch lands in `batch.members`, which arrives
+/// empty.
 fn assemble_batch(
     sys: &mut System,
     id: DeviceId,
     shard: usize,
     first: Dequeued,
     batch_max: usize,
-) -> Vec<Dequeued> {
+    batch: &mut BatchScratch,
+) {
     let max_pages = sys.dma.max_segments();
     let kind = first.req.kind;
     let shift = first.req.page_shift;
@@ -350,32 +347,33 @@ fn assemble_batch(
     // requests may ride the chain.
     let same_tenant = dev(sys, id).config.qos.then_some(first.req.tenant);
     let mut total_pages = first.req.nr_pages as usize;
-    let mut spans: Vec<(u64, u64)> = Vec::new();
-    push_spans(&mut spans, &first.req);
-    let mut batch = vec![first];
-    while batch.len() < batch_max && total_pages < max_pages {
+    let spans = &mut batch.spans;
+    push_spans(spans, &first.req);
+    batch.members.push(first);
+    while batch.members.len() < batch_max && total_pages < max_pages {
         let queue_cost = sys.cost.queue_op;
         sys.meter.charge_worker(shard, queue_cost);
         let device = dev(sys, id);
         let fits = |m: &MovReq| {
             m.kind == kind
                 && m.page_shift == shift
-                && same_tenant.map_or(true, |t| m.tenant == t)
+                && same_tenant.is_none_or(|t| m.tenant == t)
                 && total_pages + m.nr_pages as usize <= max_pages
-                && !overlaps_any(&spans, m)
+                && !overlaps_any(spans, m)
                 && conflicting_token(device, m).is_none()
         };
-        let queue_hit = match device
-            .region
-            .dequeue_matching_sharded(QueueId::Submission, shard, fits)
-        {
-            Ok(Some(d)) => Some(d),
-            Ok(None) => device
+        let queue_hit =
+            match device
                 .region
-                .dequeue_matching_sharded(QueueId::Staging, shard, fits)
-                .unwrap_or_default(),
-            Err(_) => None,
-        };
+                .dequeue_matching_sharded(QueueId::Submission, shard, fits)
+            {
+                Ok(Some(d)) => Some(d),
+                Ok(None) => device
+                    .region
+                    .dequeue_matching_sharded(QueueId::Staging, shard, fits)
+                    .unwrap_or_default(),
+                Err(_) => None,
+            };
         let next = match (queue_hit, same_tenant) {
             (Some(d), _) => {
                 // Left the shared queues here: keep the count current.
@@ -398,16 +396,7 @@ fn assemble_batch(
                         .is_some_and(|d| fits(&d.req))
                 };
                 if front_fits {
-                    let device = dev_mut(sys, id);
-                    let list = device.shards[shard]
-                        .pending
-                        .get_mut(&t)
-                        .expect("front just matched");
-                    let d = list.pop_front();
-                    if list.is_empty() {
-                        device.shards[shard].pending.remove(&t);
-                    }
-                    d
+                    dev_mut(sys, id).shards[shard].pending.take_front(t)
                 } else {
                     None
                 }
@@ -416,14 +405,13 @@ fn assemble_batch(
         };
         let Some(d) = next else { break };
         total_pages += d.req.nr_pages as usize;
-        push_spans(&mut spans, &d.req);
-        batch.push(d);
+        push_spans(spans, &d.req);
+        batch.members.push(d);
     }
-    batch
 }
 
 /// Records the virtual address ranges `req` reads or writes.
-pub(crate) fn push_spans(spans: &mut Vec<(u64, u64)>, req: &MovReq) {
+fn push_spans(spans: &mut Vec<(u64, u64)>, req: &MovReq) {
     let len = u64::from(req.nr_pages) << req.page_shift;
     spans.push((req.src_base, len));
     if req.kind == memif_lockfree::MoveKind::Replicate {
@@ -451,11 +439,11 @@ pub(crate) fn conflicting_token(device: &crate::device::MemifDevice, req: &MovRe
 
 /// True if any of `req`'s address ranges intersects a recorded span.
 fn overlaps_any(spans: &[(u64, u64)], req: &MovReq) -> bool {
-    let mut own: Vec<(u64, u64)> = Vec::with_capacity(2);
-    push_spans(&mut own, req);
-    own.iter().any(|(base, len)| {
+    let len = u64::from(req.nr_pages) << req.page_shift;
+    let hits = |base: u64| {
         spans
             .iter()
-            .any(|(sbase, slen)| *base < sbase + slen && *sbase < base + len)
-    })
+            .any(|(sbase, slen)| base < sbase + slen && *sbase < base + len)
+    };
+    hits(req.src_base) || (req.kind == memif_lockfree::MoveKind::Replicate && hits(req.dst_base))
 }

@@ -70,7 +70,7 @@ pub(crate) fn region_fault(
         sim.now(),
         memif_hwsim::SimDuration::ZERO,
         ctx,
-        format!("shared region fault: {err}; device {} parks", id.0),
+        format_args!("shared region fault: {err}; device {} parks", id.0),
         None,
     );
 }
@@ -116,11 +116,7 @@ pub(crate) fn schedule_worker_wake(
 /// have, and kicks that shard's worker. Stops when no parked tenant
 /// admits or the slot pool is exhausted. A strict no-op when nothing is
 /// parked, so non-QoS devices (which never park) pay nothing.
-pub(crate) fn readmit_parked(
-    sys: &mut System,
-    sim: &mut memif_hwsim::Sim<System>,
-    id: DeviceId,
-) {
+pub(crate) fn readmit_parked(sys: &mut System, sim: &mut memif_hwsim::Sim<System>, id: DeviceId) {
     use memif_lockfree::QueueId;
     use memif_qos::TenantId;
     loop {
@@ -132,32 +128,25 @@ pub(crate) fn readmit_parked(
             // retrieve) re-enters here via its own notify.
             return;
         }
-        // Tenant rotation: tenants after the cursor first, then wrap.
-        let candidates: Vec<u16> = {
-            let device = dev(sys, id);
-            let cursor = device.park_cursor;
-            device
-                .parked
-                .range(cursor.wrapping_add(1)..)
-                .map(|(t, _)| *t)
-                .chain(device.parked.range(..=cursor).map(|(t, _)| *t))
-                .collect()
-        };
-        let mut admitted = None;
-        for t in candidates {
-            if sys.qos.admit(TenantId(t)) {
-                admitted = Some(t);
-                break;
-            }
-        }
+        // Tenant rotation: tenants after the cursor first, then wrap;
+        // the first that admits is served. The registry and the device
+        // are disjoint fields of the system, so the rotation reads the
+        // parked map in place.
+        let qos = &mut sys.qos;
+        let device = sys.devices[id.0].as_mut().expect("device open");
+        let cursor = device.park_cursor;
+        let admitted = device
+            .parked
+            .range(cursor.wrapping_add(1)..)
+            .chain(device.parked.range(..=cursor))
+            .map(|(t, _)| *t)
+            .find(|t| qos.admit(TenantId(*t)));
         let Some(t) = admitted else { return };
-        let device = dev_mut(sys, id);
         device.park_cursor = t;
-        let queue = device.parked.get_mut(&t).expect("candidate from the map");
-        let parked = queue.pop_front().expect("parked queues never left empty");
-        if queue.is_empty() {
-            device.parked.remove(&t);
-        }
+        let parked = device
+            .parked
+            .take_front(t)
+            .expect("parked queues never left empty");
         let shard = parked.shard;
         let req = parked.req;
         let slot = device

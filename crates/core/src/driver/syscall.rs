@@ -97,7 +97,9 @@ pub(crate) fn mov_one(
             let (tenant, bytes) = (deq.req.tenant, deq.req.len_bytes());
             let (elapsed, _outcome) = execute_request(sys, sim, id, deq, Context::Syscall, shard);
             if dev(sys, id).config.qos {
-                dev_mut(sys, id).shards[shard].drr.charge(memif_qos::TenantId(tenant), bytes);
+                dev_mut(sys, id).shards[shard]
+                    .drr
+                    .charge(memif_qos::TenantId(tenant), bytes);
                 sys.meter.attribute_tenant(tenant, elapsed);
             }
             // Wake the shard's worker once the syscall's CPU time has

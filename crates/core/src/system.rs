@@ -8,7 +8,7 @@
 
 use memif_hwsim::dma::DmaEngine;
 use memif_hwsim::{
-    Context, CostModel, FlowSystem, NodeId, PhysAddr, PhysMem, ResourceId, Sim, SimDuration,
+    Context, CostModel, FlowSystem, NodeId, PhysAddr, PhysMem, ResourceId, Route, Sim, SimDuration,
     SimTime, TcScheduler, Topology, UsageMeter,
 };
 use memif_mm::{AddressSpace, FrameAllocator};
@@ -346,12 +346,14 @@ impl System {
         self.trace.as_deref().unwrap_or(&[])
     }
 
+    /// Records a trace entry when tracing is on. The label is formatted
+    /// only then, so callers pass `format_args!` rather than `format!`.
     pub(crate) fn trace_emit(
         &mut self,
         at: SimTime,
         duration: SimDuration,
         ctx: Context,
-        label: impl Into<String>,
+        label: impl std::fmt::Display,
         req: Option<u64>,
     ) {
         if let Some(t) = &mut self.trace {
@@ -359,7 +361,7 @@ impl System {
                 at,
                 duration,
                 ctx,
-                label: label.into(),
+                label: label.to_string(),
                 req,
             });
         }
@@ -552,7 +554,7 @@ impl System {
     /// engine (transfer-controller channel 0) plus each distinct node
     /// bus.
     #[must_use]
-    pub fn dma_route(&self, src: NodeId, dst: NodeId) -> Vec<ResourceId> {
+    pub fn dma_route(&self, src: NodeId, dst: NodeId) -> Route {
         self.dma_route_on(0, src, dst)
     }
 
@@ -563,8 +565,9 @@ impl System {
     ///
     /// Panics on an out-of-range channel index.
     #[must_use]
-    pub fn dma_route_on(&self, tc: usize, src: NodeId, dst: NodeId) -> Vec<ResourceId> {
-        let mut route = vec![self.resources.tc(tc), self.resources.node(src)];
+    pub fn dma_route_on(&self, tc: usize, src: NodeId, dst: NodeId) -> Route {
+        let mut route = Route::new(self.resources.tc(tc));
+        route.push(self.resources.node(src));
         if let Some(wr) = self.resources.node_write(dst) {
             // Writes into an NVM node go through its slower write pipe.
             route.push(wr);

@@ -17,9 +17,7 @@
 //!   verbatim, so every seed figure and committed trace is untouched
 //!   by the QoS subsystem while it is off or trivially on.
 
-use memif::{
-    Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System, TenantConfig, TenantId,
-};
+use memif::{Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System, TenantConfig, TenantId};
 use proptest::prelude::*;
 
 const PAGE: PageSize = PageSize::Small4K;
@@ -41,12 +39,14 @@ fn envelope_strategy() -> impl Strategy<Value = Envelope> {
         prop_oneof![Just(None), (1u32..6).prop_map(Some)],
         1usize..6,
     )
-        .prop_map(|(weight, inflight_cap, descriptor_quota, requests)| Envelope {
-            weight,
-            inflight_cap,
-            descriptor_quota,
-            requests,
-        })
+        .prop_map(
+            |(weight, inflight_cap, descriptor_quota, requests)| Envelope {
+                weight,
+                inflight_cap,
+                descriptor_quota,
+                requests,
+            },
+        )
 }
 
 /// Drives `envelopes` worth of tenants through one device, stepping
@@ -135,7 +135,10 @@ fn run_quota_workload(envelopes: &[Envelope], shards: usize) -> (u64, u64) {
         assert_eq!(stats.parked, 0, "tenant {i}: no request left parked");
     }
     let device = sys.device(memif.device()).expect("device still open");
-    let (parked, readmitted) = (device.stats.requests_parked, device.stats.requests_readmitted);
+    let (parked, readmitted) = (
+        device.stats.requests_parked,
+        device.stats.requests_readmitted,
+    );
     memif.close(&mut sys).unwrap();
     (parked, readmitted)
 }

@@ -16,34 +16,31 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChainId(u64);
 
-/// How a planned transfer maps onto descriptors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How a planned transfer maps onto descriptors. The descriptor indices
+/// themselves stay on the chain's record ([`ChainManager::descriptors`]),
+/// in chain order: the reused prefix, then the fresh tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainPlan {
     /// The chain the transfer will run on.
     pub chain: ChainId,
-    /// Descriptors reused from a previous configuration (src/dst rewrite
-    /// only).
-    pub reused: Vec<u16>,
-    /// Descriptors needing a full 12-field configuration.
-    pub fresh: Vec<u16>,
+    /// Leading descriptors reused from a previous configuration (src/dst
+    /// rewrite only).
+    pub reused: usize,
+    /// Trailing descriptors needing a full 12-field configuration.
+    pub fresh: usize,
 }
 
 impl ChainPlan {
     /// Total descriptors in the plan.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.reused.len() + self.fresh.len()
+        self.reused + self.fresh
     }
 
     /// True if the plan holds no descriptors.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// All descriptor indices in chain order (reused prefix, then fresh).
-    pub fn descriptors(&self) -> impl Iterator<Item = u16> + '_ {
-        self.reused.iter().chain(self.fresh.iter()).copied()
     }
 }
 
@@ -100,6 +97,11 @@ pub struct ChainManager {
     free: Vec<u16>,
     pool_size: usize,
     chains: HashMap<u64, ChainRecord>,
+    /// Most chains ever remembered at once (see [`crate::churn`]).
+    high: usize,
+    /// Emptied descriptor lists of forgotten chains, recycled by the
+    /// next recorded chain.
+    spare: Vec<Vec<u16>>,
     next_chain: u64,
     clock: u64,
     reuse_enabled: bool,
@@ -121,6 +123,8 @@ impl ChainManager {
             free: (0..pool_size as u16).rev().collect(),
             pool_size,
             chains: HashMap::new(),
+            high: 0,
+            spare: Vec::new(),
             next_chain: 0,
             clock: 0,
             reuse_enabled: true,
@@ -165,13 +169,7 @@ impl ChainManager {
         self.clock += 1;
 
         if !self.reuse_enabled {
-            let fresh = self.take_free(n)?;
-            let id = self.record(fresh.clone(), bytes_per_desc, None);
-            return Ok(ChainPlan {
-                chain: id,
-                reused: Vec::new(),
-                fresh,
-            });
+            return self.record_fresh(n, bytes_per_desc, None);
         }
 
         // Best candidate: an idle chain with the same per-descriptor size,
@@ -198,21 +196,16 @@ impl ChainManager {
                 // descriptors so the eviction path cannot steal it, and
                 // return any tail beyond the reused prefix to the pool
                 // (a longer chain shrinks rather than leaking).
-                let (reused, need) = {
-                    let c = self.chains.get_mut(&id).expect("candidate exists");
-                    c.busy = true;
-                    c.last_use = self.clock;
-                    let take = c.descs.len().min(n);
-                    let tail = c.descs.split_off(take);
-                    let reused = c.descs.clone();
-                    (reused, (n - take, tail))
-                };
-                let (need, tail) = (need.0, need.1);
-                self.free.extend(tail);
-                match self.take_free(need) {
-                    Ok(fresh) => {
+                let c = self.chains.get_mut(&id).expect("candidate exists");
+                c.busy = true;
+                c.last_use = self.clock;
+                let reused = c.descs.len().min(n);
+                self.free.extend(c.descs.drain(reused..));
+                let fresh = n - reused;
+                match self.reserve_free(fresh) {
+                    Ok(at) => {
                         let c = self.chains.get_mut(&id).expect("candidate exists");
-                        c.descs.extend_from_slice(&fresh);
+                        c.descs.extend(self.free.drain(at..));
                         Ok(ChainPlan {
                             chain: ChainId(id),
                             reused,
@@ -228,15 +221,7 @@ impl ChainManager {
                     }
                 }
             }
-            None => {
-                let fresh = self.take_free(n)?;
-                let id = self.record(fresh.clone(), bytes_per_desc, None);
-                Ok(ChainPlan {
-                    chain: id,
-                    reused: Vec::new(),
-                    fresh,
-                })
-            }
+            None => self.record_fresh(n, bytes_per_desc, None),
         }
     }
 
@@ -253,11 +238,16 @@ impl ChainManager {
     /// * [`ChainError::Empty`] on an empty size list.
     /// * [`ChainError::TooLarge`] / [`ChainError::AllBusy`] as for
     ///   [`ChainManager::plan`].
-    pub fn plan_segments(&mut self, sizes: &[u64]) -> Result<ChainPlan, ChainError> {
-        let Some(&first) = sizes.first() else {
+    pub fn plan_segments<I>(&mut self, sizes: I) -> Result<ChainPlan, ChainError>
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let sizes = sizes.into_iter();
+        let Some(first) = sizes.clone().next() else {
             return Err(ChainError::Empty);
         };
-        if sizes.iter().all(|&s| s == first) {
+        if sizes.clone().all(|s| s == first) {
             return self.plan(sizes.len(), first);
         }
         let n = sizes.len();
@@ -274,7 +264,12 @@ impl ChainManager {
             let candidate = self
                 .chains
                 .iter()
-                .filter(|(_, c)| !c.busy && c.sizes.as_deref() == Some(sizes))
+                .filter(|(_, c)| {
+                    !c.busy
+                        && c.sizes
+                            .as_deref()
+                            .is_some_and(|known| known.iter().copied().eq(sizes.clone()))
+                })
                 .min_by_key(|(id, _)| **id)
                 .map(|(id, _)| *id);
             if let Some(id) = candidate {
@@ -283,18 +278,21 @@ impl ChainManager {
                 c.last_use = self.clock;
                 return Ok(ChainPlan {
                     chain: ChainId(id),
-                    reused: c.descs.clone(),
-                    fresh: Vec::new(),
+                    reused: c.descs.len(),
+                    fresh: 0,
                 });
             }
         }
-        let fresh = self.take_free(n)?;
-        let id = self.record(fresh.clone(), 0, Some(sizes.to_vec()));
-        Ok(ChainPlan {
-            chain: id,
-            reused: Vec::new(),
-            fresh,
-        })
+        self.record_fresh(n, 0, Some(sizes.collect()))
+    }
+
+    /// The descriptor indices of `chain`, in chain order (empty for a
+    /// chain no longer remembered).
+    #[must_use]
+    pub fn descriptors(&self, chain: ChainId) -> &[u16] {
+        self.chains
+            .get(&chain.0)
+            .map_or(&[], |c| c.descs.as_slice())
     }
 
     /// Marks a chain idle again after its transfer completes or aborts.
@@ -305,7 +303,7 @@ impl ChainManager {
                 c.busy = false;
             }
         } else if let Some(c) = self.chains.remove(&chain.0) {
-            self.free.extend(c.descs);
+            self.forget(c);
         }
     }
 
@@ -332,7 +330,16 @@ impl ChainManager {
             .sum()
     }
 
-    fn record(&mut self, descs: Vec<u16>, bytes_per_desc: u64, sizes: Option<Vec<u64>>) -> ChainId {
+    /// Records a new busy chain of `n` descriptors drawn from the pool.
+    fn record_fresh(
+        &mut self,
+        n: usize,
+        bytes_per_desc: u64,
+        sizes: Option<Vec<u64>>,
+    ) -> Result<ChainPlan, ChainError> {
+        let at = self.reserve_free(n)?;
+        let mut descs = self.spare.pop().unwrap_or_default();
+        descs.extend(self.free.drain(at..));
         let id = self.next_chain;
         self.next_chain += 1;
         self.chains.insert(
@@ -345,12 +352,26 @@ impl ChainManager {
                 busy: true,
             },
         );
-        ChainId(id)
+        crate::churn::keep_headroom(&mut self.chains, &mut self.high);
+        Ok(ChainPlan {
+            chain: ChainId(id),
+            reused: 0,
+            fresh: n,
+        })
     }
 
-    fn take_free(&mut self, n: usize) -> Result<Vec<u16>, ChainError> {
+    /// Returns a forgotten chain's descriptors to the pool and keeps its
+    /// emptied list for the next record.
+    fn forget(&mut self, mut chain: ChainRecord) {
+        self.free.append(&mut chain.descs);
+        self.spare.push(chain.descs);
+    }
+
+    /// Evicts idle chains (least recently used first) until the pool
+    /// holds `n` free descriptors; returns the index in `free` from which
+    /// the last `n` are to be drawn.
+    fn reserve_free(&mut self, n: usize) -> Result<usize, ChainError> {
         while self.free.len() < n {
-            // Evict the least-recently-used idle chain.
             let victim = self
                 .chains
                 .iter()
@@ -360,13 +381,12 @@ impl ChainManager {
             match victim {
                 Some(id) => {
                     let c = self.chains.remove(&id).expect("victim exists");
-                    self.free.extend(c.descs);
+                    self.forget(c);
                 }
                 None => return Err(ChainError::AllBusy),
             }
         }
-        let at = self.free.len() - n;
-        Ok(self.free.split_off(at))
+        Ok(self.free.len() - n)
     }
 }
 
@@ -378,8 +398,8 @@ mod tests {
     fn first_plan_is_all_fresh() {
         let mut m = ChainManager::new(16);
         let p = m.plan(4, 4096).unwrap();
-        assert_eq!(p.reused.len(), 0);
-        assert_eq!(p.fresh.len(), 4);
+        assert_eq!(p.reused, 0);
+        assert_eq!(p.fresh, 4);
         assert_eq!(p.len(), 4);
         assert_eq!(m.free_descriptors(), 12);
     }
@@ -388,11 +408,16 @@ mod tests {
     fn released_chain_is_reused_in_full() {
         let mut m = ChainManager::new(16);
         let p1 = m.plan(4, 4096).unwrap();
+        let first = m.descriptors(p1.chain).to_vec();
         m.release(p1.chain);
         let p2 = m.plan(4, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 4, "whole chain reused");
-        assert_eq!(p2.fresh.len(), 0);
-        assert_eq!(p2.reused, p1.fresh, "same descriptors, same order");
+        assert_eq!(p2.reused, 4, "whole chain reused");
+        assert_eq!(p2.fresh, 0);
+        assert_eq!(
+            m.descriptors(p2.chain),
+            first,
+            "same descriptors, same order"
+        );
     }
 
     #[test]
@@ -401,12 +426,12 @@ mod tests {
         let p1 = m.plan(3, 4096).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(5, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 3);
-        assert_eq!(p2.fresh.len(), 2);
+        assert_eq!(p2.reused, 3);
+        assert_eq!(p2.fresh, 2);
         m.release(p2.chain);
         // The extended chain now serves 5 in full.
         let p3 = m.plan(5, 4096).unwrap();
-        assert_eq!(p3.reused.len(), 5);
+        assert_eq!(p3.reused, 5);
     }
 
     #[test]
@@ -415,8 +440,8 @@ mod tests {
         let p1 = m.plan(8, 4096).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(2, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 2, "reuses part of the whole chain (§5.3)");
-        assert_eq!(p2.fresh.len(), 0);
+        assert_eq!(p2.reused, 2, "reuses part of the whole chain (§5.3)");
+        assert_eq!(p2.fresh, 0);
     }
 
     #[test]
@@ -425,8 +450,8 @@ mod tests {
         let p1 = m.plan(4, 4096).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(4, 65_536).unwrap();
-        assert_eq!(p2.reused.len(), 0, "4 KiB chain useless for 64 KiB pages");
-        assert_eq!(p2.fresh.len(), 4);
+        assert_eq!(p2.reused, 0, "4 KiB chain useless for 64 KiB pages");
+        assert_eq!(p2.fresh, 4);
     }
 
     #[test]
@@ -435,8 +460,8 @@ mod tests {
         let p1 = m.plan(4, 4096).unwrap();
         // p1 not released: in flight.
         let p2 = m.plan(4, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 0);
-        assert_ne!(p1.fresh, p2.fresh);
+        assert_eq!(p2.reused, 0);
+        assert_ne!(m.descriptors(p1.chain), m.descriptors(p2.chain));
     }
 
     #[test]
@@ -448,7 +473,7 @@ mod tests {
         m.release(b.chain);
         // Pool empty; a is LRU and idle: must be evicted for a 64 KiB plan.
         let c = m.plan(4, 65_536).unwrap();
-        assert_eq!(c.fresh.len(), 4);
+        assert_eq!(c.fresh, 4);
         assert_eq!(m.known_chains(), 2, "chain a evicted");
     }
 
@@ -476,47 +501,48 @@ mod tests {
         let mut m = ChainManager::new(16);
         let p1 = m.plan(4, 4096).unwrap();
         m.release(p1.chain);
-        let p2 = m.plan_segments(&[4096; 4]).unwrap();
-        assert_eq!(p2.reused.len(), 4, "uniform list reuses the uniform chain");
-        assert_eq!(p2.fresh.len(), 0);
+        let p2 = m.plan_segments([4096; 4]).unwrap();
+        assert_eq!(p2.reused, 4, "uniform list reuses the uniform chain");
+        assert_eq!(p2.fresh, 0);
     }
 
     #[test]
     fn mixed_chain_reuses_on_exact_match_only() {
         let mut m = ChainManager::new(32);
         let sizes = [8192u64, 4096, 16384];
-        let p1 = m.plan_segments(&sizes).unwrap();
-        assert_eq!(p1.fresh.len(), 3);
+        let p1 = m.plan_segments(sizes).unwrap();
+        assert_eq!(p1.fresh, 3);
+        let first = m.descriptors(p1.chain).to_vec();
         m.release(p1.chain);
         // Exact geometry match: whole chain reused.
-        let p2 = m.plan_segments(&sizes).unwrap();
-        assert_eq!(p2.reused.len(), 3);
-        assert_eq!(p2.fresh.len(), 0);
-        assert_eq!(p2.reused, p1.fresh);
+        let p2 = m.plan_segments(sizes).unwrap();
+        assert_eq!(p2.reused, 3);
+        assert_eq!(p2.fresh, 0);
+        assert_eq!(m.descriptors(p2.chain), first);
         m.release(p2.chain);
         // Different geometry: all fresh, even with the old chain idle.
-        let p3 = m.plan_segments(&[4096, 8192, 16384]).unwrap();
-        assert_eq!(p3.reused.len(), 0);
-        assert_eq!(p3.fresh.len(), 3);
+        let p3 = m.plan_segments([4096, 8192, 16384]).unwrap();
+        assert_eq!(p3.reused, 0);
+        assert_eq!(p3.fresh, 3);
     }
 
     #[test]
     fn mixed_chain_never_serves_uniform_plans() {
         let mut m = ChainManager::new(32);
-        let p1 = m.plan_segments(&[4096, 8192]).unwrap();
+        let p1 = m.plan_segments([4096, 8192]).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(2, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 0, "mixed geometry is useless for pages");
-        let p3 = m.plan_segments(&[4096; 2]).unwrap();
-        assert_eq!(p3.reused.len(), 0, "uniform request skips mixed records");
+        assert_eq!(p2.reused, 0, "mixed geometry is useless for pages");
+        let p3 = m.plan_segments([4096; 2]).unwrap();
+        assert_eq!(p3.reused, 0, "uniform request skips mixed records");
     }
 
     #[test]
     fn empty_segment_list_is_an_error() {
         let mut m = ChainManager::new(4);
-        assert_eq!(m.plan_segments(&[]), Err(ChainError::Empty));
+        assert_eq!(m.plan_segments([0u64; 0]), Err(ChainError::Empty));
         assert_eq!(
-            m.plan_segments(&[4096, 8192, 4096, 4096, 8192]),
+            m.plan_segments([4096, 8192, 4096, 4096, 8192]),
             Err(ChainError::TooLarge {
                 requested: 5,
                 pool: 4
@@ -533,7 +559,7 @@ mod tests {
         m.release(p1.chain);
         assert_eq!(m.known_chains(), 0, "no knowledge kept");
         let p2 = m.plan(4, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 0);
-        assert_eq!(p2.fresh.len(), 4);
+        assert_eq!(p2.reused, 0);
+        assert_eq!(p2.fresh, 4);
     }
 }

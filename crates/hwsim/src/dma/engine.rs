@@ -18,8 +18,6 @@
 //! implemented. The sim is single-threaded, so the "couple of locks for
 //! thread-safety" of §6.1 have no analogue here.
 
-use std::collections::HashMap;
-
 use crate::cost::CostModel;
 use crate::dma::chain::{ChainError, ChainId, ChainManager, ChainPlan};
 use crate::dma::param::{ParamSet, NULL_LINK, NUM_PARAM_SETS};
@@ -47,6 +45,10 @@ pub struct ConfiguredTransfer {
     pub chain: ChainId,
     /// First descriptor of the chain.
     pub head: u16,
+    /// The chain's first segment (its banks choose the transfer's flow
+    /// route). The full list stays with the caller, who performs the
+    /// byte copies at completion.
+    pub first: SgSegment,
     /// Number of descriptors.
     pub descriptors: usize,
     /// Total bytes.
@@ -57,29 +59,6 @@ pub struct ConfiguredTransfer {
     /// per-descriptor processing. This serialization is what keeps small-
     /// page DMA throughput below pin bandwidth.
     pub engine_overhead: SimDuration,
-    /// The segments, in descriptor order (consumed at completion to
-    /// perform the actual byte copies).
-    pub segments: Vec<SgSegment>,
-}
-
-impl ConfiguredTransfer {
-    /// How many leading segments an errored transfer fully moved before
-    /// the engine stopped: descriptors are walked in chain order, so a
-    /// mid-chain error at `bytes_done` leaves exactly the segments whose
-    /// cumulative byte count fits inside `bytes_done` at their
-    /// destinations. Batched issue uses this to attribute a failure to
-    /// individual requests instead of the whole chain.
-    #[must_use]
-    pub fn segments_done(&self, bytes_done: u64) -> usize {
-        let mut moved = 0u64;
-        for (i, seg) in self.segments.iter().enumerate() {
-            moved += seg.bytes;
-            if moved > bytes_done {
-                return i;
-            }
-        }
-        self.segments.len()
-    }
 }
 
 /// Counters of engine activity.
@@ -171,7 +150,9 @@ pub struct DmaEngine {
     params: Vec<ParamSet>,
     chains: ChainManager,
     stats: DmaStats,
-    in_flight: HashMap<u64, InFlight>,
+    /// Launched transfers in launch (= id) order. Few at a time: the
+    /// transfer controllers bound them.
+    in_flight: Vec<InFlight>,
     next_transfer: u64,
     /// Installed fault injector; `None` (the default) means the engine
     /// is perfectly reliable and the hot path pays nothing.
@@ -180,6 +161,7 @@ pub struct DmaEngine {
 
 #[derive(Debug)]
 struct InFlight {
+    id: u64,
     chain: ChainId,
     flow: Option<FlowId>,
     bytes: u64,
@@ -222,7 +204,7 @@ impl DmaEngine {
             params: vec![ParamSet::default(); pool],
             chains: ChainManager::new(pool),
             stats: DmaStats::default(),
-            in_flight: HashMap::new(),
+            in_flight: Vec::new(),
             next_transfer: 0,
             injector: None,
         }
@@ -258,9 +240,8 @@ impl DmaEngine {
     /// injector survive (they model simulation bookkeeping, not device
     /// RAM).
     pub fn reset_volatile(&mut self) {
-        let chains: Vec<ChainId> = self.in_flight.drain().map(|(_, t)| t.chain).collect();
-        for chain in chains {
-            self.chains.release(chain);
+        for t in self.in_flight.drain(..) {
+            self.chains.release(t.chain);
         }
     }
 
@@ -304,7 +285,7 @@ impl DmaEngine {
     ///   transient PaRAM exhaustion by other tenants.
     pub fn configure(
         &mut self,
-        segments: Vec<SgSegment>,
+        segments: &[SgSegment],
         cost: &CostModel,
     ) -> Result<ConfiguredTransfer, ChainError> {
         let Some(first) = segments.first() else {
@@ -320,17 +301,16 @@ impl DmaEngine {
             }
         }
         let plan = self.chains.plan(segments.len(), per)?;
-        let config_cost = self.apply(&plan, &segments, cost);
-        let head = plan.descriptors().next().ok_or(ChainError::Empty)?;
+        let (head, config_cost) = self.apply(plan, segments, cost)?;
         let bytes = per * segments.len() as u64;
         Ok(ConfiguredTransfer {
             chain: plan.chain,
             head,
+            first: *first,
             descriptors: segments.len(),
             bytes,
             config_cost,
             engine_overhead: cost.dma_trigger + cost.dma_per_desc_engine * segments.len() as u64,
-            segments,
         })
     }
 
@@ -349,7 +329,7 @@ impl DmaEngine {
     /// are the point).
     pub fn configure_segments(
         &mut self,
-        segments: Vec<SgSegment>,
+        segments: &[SgSegment],
         cost: &CostModel,
     ) -> Result<ConfiguredTransfer, ChainError> {
         if segments.is_empty() {
@@ -360,32 +340,36 @@ impl DmaEngine {
                 return Err(ChainError::AllBusy);
             }
         }
-        let sizes: Vec<u64> = segments.iter().map(|s| s.bytes).collect();
-        let plan = self.chains.plan_segments(&sizes)?;
-        let config_cost = self.apply(&plan, &segments, cost);
-        let head = plan.descriptors().next().ok_or(ChainError::Empty)?;
+        let plan = self
+            .chains
+            .plan_segments(segments.iter().map(|s| s.bytes))?;
+        let (head, config_cost) = self.apply(plan, segments, cost)?;
         Ok(ConfiguredTransfer {
             chain: plan.chain,
             head,
+            first: segments[0],
             descriptors: segments.len(),
-            bytes: sizes.iter().sum(),
+            bytes: segments.iter().map(|s| s.bytes).sum(),
             config_cost,
             engine_overhead: cost.dma_trigger + cost.dma_per_desc_engine * segments.len() as u64,
-            segments,
         })
     }
 
-    fn apply(&mut self, plan: &ChainPlan, segments: &[SgSegment], cost: &CostModel) -> SimDuration {
+    /// Writes `segments` into the planned chain's descriptors, in chain
+    /// order. Returns the head descriptor and the CPU cost.
+    fn apply(
+        &mut self,
+        plan: ChainPlan,
+        segments: &[SgSegment],
+        cost: &CostModel,
+    ) -> Result<(u16, SimDuration), ChainError> {
         let mut total = SimDuration::ZERO;
-        let descs: Vec<u16> = plan.descriptors().collect();
+        let descs = self.chains.descriptors(plan.chain);
+        let head = *descs.first().ok_or(ChainError::Empty)?;
         for (i, (&idx, seg)) in descs.iter().zip(segments).enumerate() {
-            let link = if i + 1 < descs.len() {
-                descs[i + 1]
-            } else {
-                NULL_LINK
-            };
+            let link = descs.get(i + 1).copied().unwrap_or(NULL_LINK);
             let slot = &mut self.params[idx as usize];
-            if i < plan.reused.len() && slot.total_bytes() == seg.bytes && slot.link == link {
+            if i < plan.reused && slot.total_bytes() == seg.bytes && slot.link == link {
                 // Reused descriptor: geometry and link already correct —
                 // "only needs to overwrite the source and destination
                 // fields" (§5.3).
@@ -401,7 +385,7 @@ impl DmaEngine {
                 self.stats.full_configs += 1;
             }
         }
-        total
+        Ok((head, total))
     }
 
     /// Launches a configured transfer: rolls its fate against the
@@ -451,14 +435,12 @@ impl DmaEngine {
                 },
             ),
         };
-        self.in_flight.insert(
-            id.0,
-            InFlight {
-                chain: transfer.chain,
-                flow: None,
-                bytes: transfer.bytes,
-            },
-        );
+        self.in_flight.push(InFlight {
+            id: id.0,
+            chain: transfer.chain,
+            flow: None,
+            bytes: transfer.bytes,
+        });
         LaunchTicket {
             id,
             flow_bytes,
@@ -469,8 +451,8 @@ impl DmaEngine {
     /// Records the fabric flow carrying transfer `id`, so a later
     /// [`DmaEngine::abort`] can hand it back for cancellation.
     pub fn attach_flow(&mut self, id: TransferId, flow: FlowId) {
-        if let Some(t) = self.in_flight.get_mut(&id.0) {
-            t.flow = Some(flow);
+        if let Some(pos) = self.position(id) {
+            self.in_flight[pos].flow = Some(flow);
         }
     }
 
@@ -481,7 +463,7 @@ impl DmaEngine {
     /// (already aborted or already completed), in which case nothing is
     /// released.
     pub fn complete(&mut self, id: TransferId, outcome: DmaOutcome) -> bool {
-        match self.in_flight.remove(&id.0) {
+        match self.take(id) {
             Some(t) => {
                 match outcome {
                     DmaOutcome::Completed => self.stats.bytes_moved += t.bytes,
@@ -503,7 +485,7 @@ impl DmaEngine {
     /// fabric flow for the caller to cancel, or `None` if the transfer
     /// was not in flight.
     pub fn abort(&mut self, id: TransferId) -> Option<AbortedTransfer> {
-        match self.in_flight.remove(&id.0) {
+        match self.take(id) {
             Some(t) => {
                 self.chains.release(t.chain);
                 self.stats.aborted += 1;
@@ -511,6 +493,15 @@ impl DmaEngine {
             }
             None => None,
         }
+    }
+
+    fn position(&self, id: TransferId) -> Option<usize> {
+        self.in_flight.binary_search_by_key(&id.0, |t| t.id).ok()
+    }
+
+    fn take(&mut self, id: TransferId) -> Option<InFlight> {
+        let pos = self.position(id)?;
+        Some(self.in_flight.remove(pos))
     }
 
     /// Read access to the chain manager (diagnostics).
@@ -542,16 +533,20 @@ mod tests {
         }
     }
 
+    fn segs(range: std::ops::Range<u64>) -> Vec<SgSegment> {
+        range.map(seg).collect()
+    }
+
     #[test]
     fn configure_costs_match_reuse_state() {
         let cm = CostModel::keystone_ii();
         let mut e = DmaEngine::with_pool(32);
-        let t1 = e.configure((0..4).map(seg).collect(), &cm).unwrap();
+        let t1 = e.configure(&segs(0..4), &cm).unwrap();
         assert_eq!(t1.config_cost, cm.desc_config_full() * 4);
         assert_eq!(t1.descriptors, 4);
         assert_eq!(t1.bytes, 4 * 4096);
         e.finish_for_test(t1.chain);
-        let t2 = e.configure((4..8).map(seg).collect(), &cm).unwrap();
+        let t2 = e.configure(&segs(4..8), &cm).unwrap();
         assert_eq!(
             t2.config_cost,
             cm.desc_config_reuse() * 4,
@@ -565,7 +560,7 @@ mod tests {
     fn descriptors_are_linked_in_order() {
         let cm = CostModel::keystone_ii();
         let mut e = DmaEngine::with_pool(8);
-        let t = e.configure((0..3).map(seg).collect(), &cm).unwrap();
+        let t = e.configure(&segs(0..3), &cm).unwrap();
         let descs: Vec<u16> = {
             // Walk the chain from head via link fields.
             let mut v = vec![t.head];
@@ -687,8 +682,8 @@ mod tests {
         let ddr = w.flows.add_resource("ddr", 6.2);
         w.phys.fill(seg(0).src, 4096, 0x77);
 
-        let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
-        w.copies = t.segments.clone();
+        let t = w.dma.configure(&[seg(0)], &cm).unwrap();
+        w.copies = vec![seg(0)];
         launch(&mut w, &mut sim, &[ddr], &t, 5.8);
         sim.run(&mut w);
         assert!(w.done_at.is_some());
@@ -700,7 +695,7 @@ mod tests {
         assert_eq!(w.dma.stats().bytes_moved, 4096);
         assert_eq!(w.dma.stats().interrupts, 1);
         // Chain released: a follow-up transfer reuses it.
-        let t2 = w.dma.configure(vec![seg(1)], &cm).unwrap();
+        let t2 = w.dma.configure(&[seg(1)], &cm).unwrap();
         assert_eq!(t2.config_cost, cm.desc_config_reuse());
     }
 
@@ -710,7 +705,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
         let ddr = w.flows.add_resource("ddr", 8.0);
-        let t = w.dma.configure((0..4).map(seg).collect(), &cm).unwrap();
+        let t = w.dma.configure(&segs(0..4), &cm).unwrap();
         let expected_overhead = cm.dma_trigger + cm.dma_per_desc_engine * 4;
         assert_eq!(t.engine_overhead, expected_overhead);
         launch(&mut w, &mut sim, &[ddr], &t, 4.0);
@@ -732,7 +727,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
         let ddr = w.flows.add_resource("ddr", 1.0);
-        let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
+        let t = w.dma.configure(&[seg(0)], &cm).unwrap();
         let id = launch(&mut w, &mut sim, &[ddr], &t, 1.0);
         sim.schedule_at(SimTime::from_ns(10), Ev::Abort(id));
         sim.run(&mut w);
@@ -740,7 +735,7 @@ mod tests {
         assert_eq!(w.dma.stats().aborted, 1);
         assert_eq!(w.dma.stats().bytes_moved, 0);
         // The chain was released by the abort; reuse works afterwards.
-        let t2 = w.dma.configure(vec![seg(1)], &cm).unwrap();
+        let t2 = w.dma.configure(&[seg(1)], &cm).unwrap();
         assert_eq!(t2.config_cost, cm.desc_config_reuse());
     }
 
@@ -754,7 +749,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
         let ddr = w.flows.add_resource("ddr", 6.2);
-        let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
+        let t = w.dma.configure(&[seg(0)], &cm).unwrap();
         let id = launch(&mut w, &mut sim, &[ddr], &t, 4.0);
         // Reclaim while the flow is still running, but leave the flow (and
         // therefore the pending completion event) in place.
@@ -766,7 +761,7 @@ mod tests {
         assert_eq!(w.dma.stats().bytes_moved, 0);
         assert_eq!(w.dma.chains().busy_descriptors(), 0, "released once");
         // The pool is healthy: the chain is reusable.
-        let t2 = w.dma.configure(vec![seg(1)], &cm).unwrap();
+        let t2 = w.dma.configure(&[seg(1)], &cm).unwrap();
         assert_eq!(t2.config_cost, cm.desc_config_reuse());
     }
 
@@ -774,13 +769,13 @@ mod tests {
     fn malformed_sg_lists_are_errors_not_panics() {
         let cm = CostModel::keystone_ii();
         let mut e = DmaEngine::with_pool(8);
-        assert_eq!(e.configure(Vec::new(), &cm), Err(ChainError::Empty));
-        let mut segs: Vec<SgSegment> = (0..2).map(seg).collect();
-        segs[1].bytes = 8192;
-        assert_eq!(e.configure(segs, &cm), Err(ChainError::MixedSizes));
+        assert_eq!(e.configure(&[], &cm), Err(ChainError::Empty));
+        let mut mixed = segs(0..2);
+        mixed[1].bytes = 8192;
+        assert_eq!(e.configure(&mixed, &cm), Err(ChainError::MixedSizes));
         // An oversized list propagates the pool error rather than
         // asserting.
-        let r = e.configure((0..9).map(seg).collect(), &cm);
+        let r = e.configure(&segs(0..9), &cm);
         assert!(matches!(
             r,
             Err(ChainError::TooLarge {
@@ -802,7 +797,7 @@ mod tests {
         let ddr = w.flows.add_resource("ddr", 6.2);
         w.dma
             .install_injector(FaultInjector::new(FaultPlan::dma_errors(9, 1.0)));
-        let t = w.dma.configure((0..4).map(seg).collect(), &cm).unwrap();
+        let t = w.dma.configure(&segs(0..4), &cm).unwrap();
         launch(&mut w, &mut sim, &[ddr], &t, 4.0);
         sim.run(&mut w);
         assert!(w.done_at.is_some(), "error interrupt was delivered");
@@ -826,7 +821,7 @@ mod tests {
             drop_rate: 1.0,
             ..FaultPlan::default()
         }));
-        let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
+        let t = w.dma.configure(&[seg(0)], &cm).unwrap();
         let id = launch(&mut w, &mut sim, &[ddr], &t, 4.0);
         sim.run(&mut w);
         assert!(w.done_at.is_none(), "completion interrupt was dropped");
@@ -847,7 +842,7 @@ mod tests {
             let mut sim: Sim<World> = Sim::new();
             let mut w = world(16);
             let ddr = w.flows.add_resource("ddr", 6.2);
-            let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
+            let t = w.dma.configure(&[seg(0)], &cm).unwrap();
             launch(&mut w, &mut sim, &[ddr], &t, 4.0);
             sim.run(&mut w);
             w.done_at.unwrap()
@@ -862,7 +857,7 @@ mod tests {
             max_delay: SimDuration::from_us(100),
             ..FaultPlan::default()
         }));
-        let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
+        let t = w.dma.configure(&[seg(0)], &cm).unwrap();
         launch(&mut w, &mut sim, &[ddr], &t, 4.0);
         sim.run(&mut w);
         let delayed = w.done_at.expect("delayed interrupt still arrives");
@@ -886,7 +881,7 @@ mod tests {
             ..FaultPlan::default()
         }));
         assert_eq!(
-            e.configure(vec![seg(0)], &cm),
+            e.configure(&[seg(0)], &cm),
             Err(ChainError::AllBusy),
             "pool is empty-handed despite 64 free descriptors"
         );
@@ -915,7 +910,7 @@ mod tests {
                 bytes: 2 * 4096,
             },
         ];
-        let t = e.configure_segments(segs.clone(), &cm).unwrap();
+        let t = e.configure_segments(&segs, &cm).unwrap();
         assert_eq!(t.descriptors, 3, "one descriptor per merged segment");
         assert_eq!(t.bytes, 7 * 4096);
         assert_eq!(t.config_cost, cm.desc_config_full() * 3);
@@ -925,7 +920,7 @@ mod tests {
         );
         e.finish_for_test(t.chain);
         // Exact-geometry reuse rewrites src/dst only.
-        let t2 = e.configure_segments(segs, &cm).unwrap();
+        let t2 = e.configure_segments(&segs, &cm).unwrap();
         assert_eq!(t2.config_cost, cm.desc_config_reuse() * 3);
     }
 
@@ -934,28 +929,10 @@ mod tests {
         let cm = CostModel::keystone_ii();
         let mut a = DmaEngine::with_pool(32);
         let mut b = DmaEngine::with_pool(32);
-        let ta = a.configure((0..4).map(seg).collect(), &cm).unwrap();
-        let tb = b
-            .configure_segments((0..4).map(seg).collect(), &cm)
-            .unwrap();
+        let ta = a.configure(&segs(0..4), &cm).unwrap();
+        let tb = b.configure_segments(&segs(0..4), &cm).unwrap();
         assert_eq!(ta, tb, "uniform lists take the identical path");
-        assert_eq!(
-            b.configure_segments(Vec::new(), &cm),
-            Err(ChainError::Empty)
-        );
-    }
-
-    #[test]
-    fn segments_done_attributes_partial_errors() {
-        let cm = CostModel::keystone_ii();
-        let mut e = DmaEngine::with_pool(32);
-        let t = e.configure((0..4).map(seg).collect(), &cm).unwrap();
-        assert_eq!(t.segments_done(0), 0);
-        assert_eq!(t.segments_done(4095), 0, "partial segment doesn't count");
-        assert_eq!(t.segments_done(4096), 1);
-        assert_eq!(t.segments_done(3 * 4096 + 1), 3);
-        assert_eq!(t.segments_done(4 * 4096), 4);
-        assert_eq!(t.segments_done(u64::MAX), 4);
+        assert_eq!(b.configure_segments(&[], &cm), Err(ChainError::Empty));
     }
 
     impl DmaEngine {

@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod churn;
 pub mod cost;
 pub mod dma;
 pub mod fault;
@@ -41,7 +42,7 @@ pub use dma::{CompletionDelivery, DmaOutcome, LaunchTicket, TcScheduler, Transfe
 pub use fault::{
     Brownout, CrashPlan, CrashPoint, FaultInjector, FaultPlan, FaultStats, TransferFault,
 };
-pub use flow::{FlowId, FlowNet, FlowSystem, ResourceId};
+pub use flow::{FlowId, FlowNet, FlowSystem, ResourceId, Route, MAX_ROUTE};
 pub use meter::{Context, Measurement, Phase, PhaseBreakdown, UsageMeter};
 pub use phys::{PhysAddr, PhysMem};
 pub use sim::{EventId, EventWorld, Sim};

@@ -5,9 +5,19 @@
 //! make an 8 GB DDR bank affordable, storage is sparse — 4 KiB frames
 //! materialize on first write, and reads of untouched memory yield zeros
 //! (matching zero-initialized fresh pages).
+//!
+//! Backed frames are shared copy-on-write: a frame-aligned copy makes
+//! the destination frame share the source frame's bytes (a reference
+//! count bump, no 4 KiB `memcpy`), and the first later write to either
+//! side gives that side its own private copy. Reads cannot tell the
+//! difference; only host time and memory do.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
+
+use crate::churn::keep_headroom;
 
 use serde::{Deserialize, Serialize};
 
@@ -52,10 +62,16 @@ impl fmt::LowerHex for PhysAddr {
 const FRAME_SHIFT: u32 = 12;
 const FRAME_SIZE: usize = 1 << FRAME_SHIFT;
 
+/// One materialized frame's bytes, possibly shared by several frames
+/// (copy-on-write: writers go through [`Rc::make_mut`]).
+type Frame = Rc<[u8; FRAME_SIZE]>;
+
 /// Sparse, byte-addressable physical memory.
 #[derive(Default)]
 pub struct PhysMem {
-    frames: HashMap<u64, Box<[u8; FRAME_SIZE]>>,
+    frames: HashMap<u64, Frame>,
+    /// Most frames ever backed at once (see [`crate::churn`]).
+    high: usize,
 }
 
 impl fmt::Debug for PhysMem {
@@ -104,11 +120,12 @@ impl PhysMem {
             let frame = pos >> FRAME_SHIFT;
             let off = (pos as usize) & (FRAME_SIZE - 1);
             let n = (FRAME_SIZE - off).min(buf.len() - done);
-            let data = self
-                .frames
-                .entry(frame)
-                .or_insert_with(|| Box::new([0u8; FRAME_SIZE]));
-            data[off..off + n].copy_from_slice(&buf[done..done + n]);
+            if let Entry::Vacant(slot) = self.frames.entry(frame) {
+                slot.insert(Rc::new([0u8; FRAME_SIZE]));
+                keep_headroom(&mut self.frames, &mut self.high);
+            }
+            let data = self.frames.get_mut(&frame).expect("backed above");
+            Rc::make_mut(data)[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
             pos += n as u64;
         }
@@ -121,8 +138,9 @@ impl PhysMem {
     /// Frame-aligned copies preserve sparseness: an unbacked (all-zero)
     /// source frame *releases* the destination frame instead of
     /// materializing a zero-filled one, so moving a terabyte of
-    /// untouched memory costs no host RAM. Reads observe the same bytes
-    /// either way.
+    /// untouched memory costs no host RAM. A backed source frame is
+    /// shared copy-on-write with its destination. Reads observe the same
+    /// bytes either way.
     pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: u64) {
         if len == 0 || src == dst {
             return;
@@ -132,19 +150,22 @@ impl PhysMem {
             let frames = len >> FRAME_SHIFT;
             let src_f = src.0 >> FRAME_SHIFT;
             let dst_f = dst.0 >> FRAME_SHIFT;
-            // Snapshot source frames first so overlapping ranges still
-            // behave like memmove.
-            let contents: Vec<Option<Box<[u8; FRAME_SIZE]>>> = (0..frames)
-                .map(|i| self.frames.get(&(src_f + i)).cloned())
-                .collect();
-            for (i, frame) in contents.into_iter().enumerate() {
-                match frame {
-                    Some(data) => {
-                        self.frames.insert(dst_f + i as u64, data);
-                    }
-                    None => {
-                        self.frames.remove(&(dst_f + i as u64));
-                    }
+            if src_f + frames <= dst_f || dst_f + frames <= src_f {
+                for i in 0..frames {
+                    self.share_frame(src_f + i, dst_f + i);
+                }
+                return;
+            }
+            // Overlapping ranges: walk away from the overlap, as memmove
+            // does, so every source frame is read before it is
+            // overwritten.
+            if dst_f < src_f {
+                for i in 0..frames {
+                    self.share_frame(src_f + i, dst_f + i);
+                }
+            } else {
+                for i in (0..frames).rev() {
+                    self.share_frame(src_f + i, dst_f + i);
                 }
             }
             return;
@@ -152,6 +173,21 @@ impl PhysMem {
         let mut buf = vec![0u8; len as usize];
         self.read(src, &mut buf);
         self.write(dst, &buf);
+    }
+
+    /// Makes frame `dst` hold frame `src`'s bytes: shares a backed
+    /// source, releases the destination of an unbacked one.
+    fn share_frame(&mut self, src: u64, dst: u64) {
+        match self.frames.get(&src) {
+            Some(data) => {
+                let data = Rc::clone(data);
+                self.frames.insert(dst, data);
+                keep_headroom(&mut self.frames, &mut self.high);
+            }
+            None => {
+                self.frames.remove(&dst);
+            }
+        }
     }
 
     /// Fills `len` bytes at `addr` with `value`.
@@ -240,6 +276,67 @@ mod tests {
         mem.copy(base, base.offset(16), 256);
         assert_eq!(mem.read_u8(base.offset(16)), 0);
         assert_eq!(mem.read_u8(base.offset(16 + 255)), 255);
+    }
+
+    #[test]
+    fn copies_are_private_after_a_write() {
+        let mut mem = PhysMem::new();
+        let (a, b, c) = (
+            PhysAddr::new(0x4000),
+            PhysAddr::new(0x10_000),
+            PhysAddr::new(0x40_000),
+        );
+        mem.fill(a, 8192, 0x11);
+        mem.copy(a, b, 8192);
+        mem.copy(b, c, 8192);
+        // A write to the copy leaves the source and the copy's copy alone.
+        mem.write(b.offset(5), &[0x22]);
+        assert_eq!(mem.read_u8(a.offset(5)), 0x11, "source unchanged");
+        assert_eq!(mem.read_u8(c.offset(5)), 0x11, "second copy unchanged");
+        assert_eq!(mem.read_u8(b.offset(5)), 0x22);
+        // A write to the source leaves both copies alone.
+        mem.write(a.offset(4096 + 7), &[0x33]);
+        assert_eq!(mem.read_u8(b.offset(4096 + 7)), 0x11, "copy unchanged");
+        assert_eq!(mem.read_u8(c.offset(4096 + 7)), 0x11, "copy unchanged");
+        assert_eq!(mem.read_u8(a.offset(4096 + 7)), 0x33);
+        // Freeing the source frames keeps the copies' bytes.
+        mem.discard(a, 8192);
+        assert_eq!(mem.read_u8(a.offset(100)), 0);
+        assert_eq!(
+            mem.checksum(b.offset(4096), 4096),
+            mem.checksum(c.offset(4096), 4096)
+        );
+        assert_eq!(mem.read_u8(c.offset(8191)), 0x11);
+    }
+
+    #[test]
+    fn overlapping_frame_copies_are_memmove() {
+        const FRAMES: u64 = 8;
+        let len = FRAMES * FRAME_SIZE as u64;
+        for (src_f, dst_f, n) in [(0, 2, 5), (3, 1, 5), (1, 2, 6), (2, 0, 3), (0, 4, 4)] {
+            let mut mem = PhysMem::new();
+            let mut model: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            mem.write(PhysAddr::new(0), &model);
+            // Leave one frame unbacked (all zero) to cover the release
+            // path inside an overlapping copy.
+            mem.discard(PhysAddr::new(FRAME_SIZE as u64), FRAME_SIZE as u64);
+            model[FRAME_SIZE..2 * FRAME_SIZE].fill(0);
+            let frame = |f: u64| (f * FRAME_SIZE as u64) as usize;
+            model.copy_within(frame(src_f)..frame(src_f + n), frame(dst_f));
+            mem.copy(
+                PhysAddr::new(frame(src_f) as u64),
+                PhysAddr::new(frame(dst_f) as u64),
+                n * FRAME_SIZE as u64,
+            );
+            let mut back = vec![0u8; len as usize];
+            mem.read(PhysAddr::new(0), &mut back);
+            assert!(back == model, "copy {src_f}->{dst_f} x{n} frames");
+            // Every frame is private again after a full rewrite.
+            let ones = vec![1u8; len as usize];
+            mem.write(PhysAddr::new(0), &ones);
+            mem.read(PhysAddr::new(0), &mut back);
+            assert!(back == ones);
+        }
     }
 
     #[test]

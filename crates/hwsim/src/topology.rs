@@ -627,7 +627,10 @@ mod tests {
         // Same shape as the plain ladder otherwise.
         assert_eq!(cxl.bytes, 512 << 20);
         assert_eq!(t.node_of_tier(TierRank(0)).unwrap().name, "sram");
-        assert_eq!(t.node_of_tier(TierRank(3)).unwrap().kind, MemoryKind::Compressed);
+        assert_eq!(
+            t.node_of_tier(TierRank(3)).unwrap().kind,
+            MemoryKind::Compressed
+        );
         let t3 = Topology::ranked_cxl(3);
         assert_eq!(t3.node_of_tier(TierRank(2)).unwrap().kind, MemoryKind::Cxl);
     }

@@ -137,8 +137,9 @@ proptest! {
             }
             match m.plan(n, per) {
                 Ok(plan) => {
-                    let descs: Vec<u16> = plan.descriptors().collect();
+                    let descs: Vec<u16> = m.descriptors(plan.chain).to_vec();
                     prop_assert_eq!(descs.len(), n);
+                    prop_assert_eq!(plan.len(), n);
                     // No overlap with any concurrently busy chain.
                     for (_, other) in &busy {
                         for d in &descs {

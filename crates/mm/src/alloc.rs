@@ -131,6 +131,8 @@ pub struct FrameInfo {
 pub struct FrameAllocator {
     buddies: HashMap<NodeId, Buddy>,
     frames: HashMap<u64, FrameInfo>,
+    /// Most blocks ever allocated at once (see [`memif_hwsim::churn`]).
+    high: usize,
     allocs: u64,
     frees: u64,
 }
@@ -145,6 +147,7 @@ impl FrameAllocator {
         let mut a = FrameAllocator {
             buddies: HashMap::new(),
             frames: HashMap::new(),
+            high: 0,
             allocs: 0,
             frees: 0,
         };
@@ -190,6 +193,7 @@ impl FrameAllocator {
                 refcount: 1,
             },
         );
+        memif_hwsim::churn::keep_headroom(&mut self.frames, &mut self.high);
         self.allocs += 1;
         Ok(PhysAddr::new(addr))
     }

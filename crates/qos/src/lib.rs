@@ -104,8 +104,8 @@ impl TenantStats {
         }
         let mut sorted = self.latency_samples_ns.clone();
         sorted.sort_unstable();
-        let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
-            .clamp(1, sorted.len());
+        let rank =
+            ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         Some(sorted[rank - 1])
     }
 
@@ -278,27 +278,26 @@ impl DrrState {
     ) -> Option<TenantId> {
         // Deficits of tenants that went idle are forgotten: classic DRR
         // resets an empty queue's deficit so credit cannot be banked.
-        let ids: Vec<u16> = active.clone().map(|t| t.0).collect();
-        if ids.is_empty() {
-            return None;
-        }
-        self.deficits.retain(|id, _| ids.contains(id));
+        let ids = active.map(|t| t.0);
+        ids.clone().next()?;
+        self.deficits.retain(|id, _| ids.clone().any(|a| a == *id));
         loop {
             // Round-robin scan: ascending ids strictly after the last
             // served tenant, then wrapping.
             let next = ids
-                .iter()
-                .copied()
+                .clone()
                 .filter(|id| *id > self.last_served)
-                .chain(ids.iter().copied())
+                .chain(ids.clone())
                 .find(|id| self.deficits.get(id).copied().unwrap_or(0) > 0);
             if let Some(id) = next {
                 self.last_served = id;
                 return Some(TenantId(id));
             }
-            for id in &ids {
-                let add = self.quantum.saturating_mul(u64::from(weight_of(TenantId(*id)).max(1)));
-                let d = self.deficits.entry(*id).or_insert(0);
+            for id in ids.clone() {
+                let add = self
+                    .quantum
+                    .saturating_mul(u64::from(weight_of(TenantId(id)).max(1)));
+                let d = self.deficits.entry(id).or_insert(0);
                 *d = d.saturating_add(add as i64);
             }
         }
@@ -424,9 +423,7 @@ mod tests {
         let mut served = BTreeMap::new();
         let bytes = 64 * 1024u64; // equal request sizes
         for _ in 0..3_000 {
-            let t = drr
-                .pick(active.iter().copied(), |t| reg.weight(t))
-                .unwrap();
+            let t = drr.pick(active.iter().copied(), |t| reg.weight(t)).unwrap();
             drr.charge(t, bytes);
             *served.entry(t.0).or_insert(0u64) += bytes;
         }
@@ -448,9 +445,7 @@ mod tests {
         let active = [TenantId(1), TenantId(2)];
         let mut served = BTreeMap::new();
         for _ in 0..5_000 {
-            let t = drr
-                .pick(active.iter().copied(), |t| reg.weight(t))
-                .unwrap();
+            let t = drr.pick(active.iter().copied(), |t| reg.weight(t)).unwrap();
             let bytes = if t.0 == 1 { 2 << 20 } else { 64 * 1024u64 }; // bully vs small
             drr.charge(t, bytes);
             *served.entry(t.0).or_insert(0u64) += bytes;
@@ -462,23 +457,23 @@ mod tests {
         );
     }
 
-    /// Property form of the no-starvation guarantee: for *any* roster
-    /// of weights and per-tenant request sizes, the gap between two
-    /// services of the same always-backlogged tenant is bounded by the
-    /// DRR ledger arithmetic — no draw of the parameters can starve a
-    /// tenant.
-    ///
-    /// The bound: tenant `t` leaves a service owing at most its own
-    /// request size, so it turns positive within
-    /// `R = size_t / (quantum * w_t) + 2` replenish rounds. Over those
-    /// rounds the other tenants collectively gain
-    /// `sum(w_i) * quantum * R` bytes of credit plus at most one
-    /// request of carryover each, and every pick of theirs burns at
-    /// least the smallest request size — which caps how many picks can
-    /// separate `t`'s services.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
+        /// Property form of the no-starvation guarantee: for *any* roster
+        /// of weights and per-tenant request sizes, the gap between two
+        /// services of the same always-backlogged tenant is bounded by the
+        /// DRR ledger arithmetic — no draw of the parameters can starve a
+        /// tenant.
+        ///
+        /// The bound: tenant `t` leaves a service owing at most its own
+        /// request size, so it turns positive within
+        /// `R = size_t / (quantum * w_t) + 2` replenish rounds. Over those
+        /// rounds the other tenants collectively gain
+        /// `sum(w_i) * quantum * R` bytes of credit plus at most one
+        /// request of carryover each, and every pick of theirs burns at
+        /// least the smallest request size — which caps how many picks can
+        /// separate `t`'s services.
         #[test]
         fn drr_no_starvation_for_any_roster(
             roster in proptest::collection::vec(
@@ -567,9 +562,7 @@ mod tests {
         let mut gap = 0u32;
         let mut worst = 0u32;
         for _ in 0..10_000 {
-            let t = drr
-                .pick(active.iter().copied(), |t| reg.weight(t))
-                .unwrap();
+            let t = drr.pick(active.iter().copied(), |t| reg.weight(t)).unwrap();
             drr.charge(t, 64 * 1024);
             if t.0 == 9 {
                 worst = worst.max(gap);

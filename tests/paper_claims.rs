@@ -32,7 +32,8 @@ fn claim_linux_migration_is_slow() {
             from: NodeId(0),
             to: NodeId(1),
         },
-    );
+    )
+    .expect("a 1,500-page batch fits both nodes");
     assert!(
         (0.25..0.35).contains(&r.throughput_gbps),
         "got {:.3}",
