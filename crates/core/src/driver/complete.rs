@@ -1,7 +1,7 @@
 //! Operations 4–5 of Table 1: Release (with race detection) and Notify,
 //! on the interrupt path or the kernel thread's polling path (§5.4).
 
-use memif_hwsim::dma::{DmaOutcome, TransferId};
+use memif_hwsim::dma::{segments_done, DmaOutcome, TransferId};
 use memif_hwsim::{Context, CrashPoint, Phase, Sim, SimDuration, SimTime};
 use memif_lockfree::{FailReason, MovReq, MoveStatus, QueueId, SlotIndex};
 
@@ -87,8 +87,9 @@ pub(crate) fn on_dma_complete(
             let i = &mut dev_mut(sys, id).inflight[pos];
             i.batch_leader = None;
             let rid = i.req.id;
-            let own_bytes: u64 = i.segments.iter().map(|s| s.bytes).sum();
-            let finished = i.chain_offset + own_bytes <= bytes_done;
+            let finished = bytes_done
+                .checked_sub(i.chain_offset)
+                .is_some_and(|own_done| segments_done(&i.segments, own_done) == i.segments.len());
             i.chain_offset = 0;
             if finished {
                 i.completed = true;

@@ -10,7 +10,7 @@
 //! when the pool runs dry, and busy-marking so a chain serving an
 //! in-flight transfer is never reconfigured under the engine.
 
-use std::collections::HashMap;
+use crate::churn::ChurnMap;
 
 /// Identifier of a recorded chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,9 +96,7 @@ impl std::error::Error for ChainError {}
 pub struct ChainManager {
     free: Vec<u16>,
     pool_size: usize,
-    chains: HashMap<u64, ChainRecord>,
-    /// Most chains ever remembered at once (see [`crate::churn`]).
-    high: usize,
+    chains: ChurnMap<u64, ChainRecord>,
     /// Emptied descriptor lists of forgotten chains, recycled by the
     /// next recorded chain.
     spare: Vec<Vec<u16>>,
@@ -122,8 +120,7 @@ impl ChainManager {
         ChainManager {
             free: (0..pool_size as u16).rev().collect(),
             pool_size,
-            chains: HashMap::new(),
-            high: 0,
+            chains: ChurnMap::new(),
             spare: Vec::new(),
             next_chain: 0,
             clock: 0,
@@ -352,7 +349,6 @@ impl ChainManager {
                 busy: true,
             },
         );
-        crate::churn::keep_headroom(&mut self.chains, &mut self.high);
         Ok(ChainPlan {
             chain: ChainId(id),
             reused: 0,

@@ -61,6 +61,24 @@ pub struct ConfiguredTransfer {
     pub engine_overhead: SimDuration,
 }
 
+/// How many leading `segments` an errored transfer fully moved before
+/// the engine stopped: descriptors are walked in chain order, so a
+/// mid-chain error at `bytes_done` leaves exactly the segments whose
+/// cumulative byte count fits inside `bytes_done` at their destinations.
+/// Batched issue uses this to attribute a failure to individual requests
+/// instead of the whole chain.
+#[must_use]
+pub fn segments_done(segments: &[SgSegment], bytes_done: u64) -> usize {
+    let mut moved = 0u64;
+    for (i, seg) in segments.iter().enumerate() {
+        moved += seg.bytes;
+        if moved > bytes_done {
+            return i;
+        }
+    }
+    segments.len()
+}
+
 /// Counters of engine activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DmaStats {
@@ -933,6 +951,22 @@ mod tests {
         let tb = b.configure_segments(&segs(0..4), &cm).unwrap();
         assert_eq!(ta, tb, "uniform lists take the identical path");
         assert_eq!(b.configure_segments(&[], &cm), Err(ChainError::Empty));
+    }
+
+    #[test]
+    fn segments_done_attributes_partial_errors() {
+        let segs = segs(0..4);
+        assert_eq!(segments_done(&segs, 0), 0);
+        assert_eq!(
+            segments_done(&segs, 4095),
+            0,
+            "partial segment doesn't count"
+        );
+        assert_eq!(segments_done(&segs, 4096), 1);
+        assert_eq!(segments_done(&segs, 3 * 4096 + 1), 3);
+        assert_eq!(segments_done(&segs, 4 * 4096), 4);
+        assert_eq!(segments_done(&segs, u64::MAX), 4);
+        assert_eq!(segments_done(&[], 0), 0);
     }
 
     impl DmaEngine {

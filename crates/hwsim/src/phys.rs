@@ -12,12 +12,10 @@
 //! side gives that side its own private copy. Reads cannot tell the
 //! difference; only host time and memory do.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::churn::keep_headroom;
+use crate::churn::ChurnMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -69,9 +67,7 @@ type Frame = Rc<[u8; FRAME_SIZE]>;
 /// Sparse, byte-addressable physical memory.
 #[derive(Default)]
 pub struct PhysMem {
-    frames: HashMap<u64, Frame>,
-    /// Most frames ever backed at once (see [`crate::churn`]).
-    high: usize,
+    frames: ChurnMap<u64, Frame>,
 }
 
 impl fmt::Debug for PhysMem {
@@ -120,11 +116,9 @@ impl PhysMem {
             let frame = pos >> FRAME_SHIFT;
             let off = (pos as usize) & (FRAME_SIZE - 1);
             let n = (FRAME_SIZE - off).min(buf.len() - done);
-            if let Entry::Vacant(slot) = self.frames.entry(frame) {
-                slot.insert(Rc::new([0u8; FRAME_SIZE]));
-                keep_headroom(&mut self.frames, &mut self.high);
-            }
-            let data = self.frames.get_mut(&frame).expect("backed above");
+            let data = self
+                .frames
+                .get_or_insert_with(frame, || Rc::new([0u8; FRAME_SIZE]));
             Rc::make_mut(data)[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
             pos += n as u64;
@@ -182,7 +176,6 @@ impl PhysMem {
             Some(data) => {
                 let data = Rc::clone(data);
                 self.frames.insert(dst, data);
-                keep_headroom(&mut self.frames, &mut self.high);
             }
             None => {
                 self.frames.remove(&dst);

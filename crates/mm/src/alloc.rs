@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use memif_hwsim::churn::ChurnMap;
 use memif_hwsim::{NodeId, PhysAddr, Topology};
 
 use crate::addr::PageSize;
@@ -130,9 +131,7 @@ pub struct FrameInfo {
 #[derive(Debug)]
 pub struct FrameAllocator {
     buddies: HashMap<NodeId, Buddy>,
-    frames: HashMap<u64, FrameInfo>,
-    /// Most blocks ever allocated at once (see [`memif_hwsim::churn`]).
-    high: usize,
+    frames: ChurnMap<u64, FrameInfo>,
     allocs: u64,
     frees: u64,
 }
@@ -146,8 +145,7 @@ impl FrameAllocator {
     pub fn new(topo: &Topology) -> Self {
         let mut a = FrameAllocator {
             buddies: HashMap::new(),
-            frames: HashMap::new(),
-            high: 0,
+            frames: ChurnMap::new(),
             allocs: 0,
             frees: 0,
         };
@@ -193,7 +191,6 @@ impl FrameAllocator {
                 refcount: 1,
             },
         );
-        memif_hwsim::churn::keep_headroom(&mut self.frames, &mut self.high);
         self.allocs += 1;
         Ok(PhysAddr::new(addr))
     }
