@@ -28,8 +28,7 @@
 //! devices opened with [`crate::MemifConfig::journal`] set, so default
 //! runs pay nothing and stay byte-identical.
 
-use std::collections::HashMap;
-
+use memif_hwsim::churn::FastMap;
 use memif_hwsim::dma::SgSegment;
 use memif_lockfree::{MovReq, MoveStatus};
 use memif_mm::{PageSize, Pte, VirtAddr};
@@ -119,7 +118,7 @@ pub struct MoveJournal {
     records: Vec<JournalRecord>,
     /// `(device, req_id) -> records index`. Requests are keyed by id,
     /// not token: a retried issue overwrites its own record.
-    index: HashMap<(usize, u64), usize>,
+    index: FastMap<(usize, u64), usize>,
 }
 
 impl MoveJournal {

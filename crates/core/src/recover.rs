@@ -72,7 +72,7 @@ impl System {
         // a non-journaled device legitimately strands its transients.
         #[cfg(debug_assertions)]
         if self.devices.iter().flatten().all(|d| d.config.journal) {
-            let covered: std::collections::HashSet<(usize, u64)> = self
+            let covered: memif_hwsim::churn::FastSet<(usize, u64)> = self
                 .journal
                 .records()
                 .iter()

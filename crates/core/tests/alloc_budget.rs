@@ -13,6 +13,10 @@
 //! The device's completion log grows by one record per request by
 //! design; the test reserves its full length up front so the window
 //! measures the move path, not the log's amortised doubling.
+//!
+//! A second counter spans the whole run, set-up included: every table
+//! on the simulated path hashes without a per-process seed, so running
+//! the same stream twice allocates exactly as often both times.
 
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::{Cell, RefCell};
@@ -28,12 +32,19 @@ struct Counting;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static RUN_ARMED: Cell<bool> = const { Cell::new(false) };
+    static RUN_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_alloc() {
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
             ALLOCS.with(|n| n.set(n.get() + 1));
+        }
+    });
+    let _ = RUN_ARMED.try_with(|armed| {
+        if armed.get() {
+            RUN_ALLOCS.with(|n| n.set(n.get() + 1));
         }
     });
 }
@@ -167,6 +178,20 @@ impl App {
 
 /// Runs `stream` and returns the allocations counted over the window.
 fn allocations_in_window(stream: &Stream) -> u64 {
+    run(stream).0
+}
+
+/// Runs `stream` and returns the allocations counted over the window
+/// and over the whole run.
+fn run(stream: &Stream) -> (u64, u64) {
+    RUN_ALLOCS.with(|n| n.set(0));
+    RUN_ARMED.with(|a| a.set(true));
+    let window = run_counted(stream);
+    RUN_ARMED.with(|a| a.set(false));
+    (window, RUN_ALLOCS.with(Cell::get))
+}
+
+fn run_counted(stream: &Stream) -> u64 {
     let mut sys = System::keystone_ii();
     let mut sim = Sim::new();
     let space = sys.new_space();
@@ -267,9 +292,8 @@ fn batched_coalesced_replications_allocate_nothing() {
     );
 }
 
-#[test]
-fn two_tenant_sharded_qos_stays_within_budget() {
-    let allocs = allocations_in_window(&Stream {
+fn two_tenant_qos() -> Stream {
+    Stream {
         config: MemifConfig {
             qos: true,
             issue_shards: 2,
@@ -279,10 +303,26 @@ fn two_tenant_sharded_qos_stays_within_budget() {
         mix: Mix::Migrate,
         regions: 128,
         tenants: 2,
-    });
+    }
+}
+
+#[test]
+fn two_tenant_sharded_qos_stays_within_budget() {
+    let allocs = allocations_in_window(&two_tenant_qos());
     let per_request = allocs as f64 / (WINDOW.1 - WINDOW.0) as f64;
     assert!(
         per_request <= 0.1,
         "{allocs} allocations over 2,000 QoS requests ({per_request:.3} per request)"
+    );
+}
+
+#[test]
+fn repeated_runs_allocate_identically() {
+    let first = run(&two_tenant_qos());
+    let second = run(&two_tenant_qos());
+    assert!(first.1 > 0, "the whole-run counter is armed");
+    assert_eq!(
+        first, second,
+        "(window, whole-run) allocations of two identical runs"
     );
 }

@@ -30,6 +30,15 @@ pub enum Context {
 }
 
 impl Context {
+    /// All contexts, in declaration (and index) order.
+    pub const ALL: [Context; 5] = [
+        Context::App,
+        Context::Syscall,
+        Context::Interrupt,
+        Context::KernelThread,
+        Context::DmaEngine,
+    ];
+
     /// Whether time in this context occupies a CPU core.
     #[must_use]
     pub fn is_cpu(self) -> bool {
@@ -104,10 +113,29 @@ impl fmt::Display for Phase {
     }
 }
 
+// The meters index arrays sized by `ALL` with `variant as usize`: each
+// entry of `ALL` must sit at its own index, and the last variant
+// declared must end `ALL`, so a new variant cannot index past it.
+const _: () = {
+    let mut i = 0;
+    while i < Phase::ALL.len() {
+        assert!(Phase::ALL[i] as usize == i);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < Context::ALL.len() {
+        assert!(Context::ALL[i] as usize == i);
+        i += 1;
+    }
+    assert!(Phase::CacheMaint as usize + 1 == Phase::ALL.len());
+    assert!(Context::DmaEngine as usize + 1 == Context::ALL.len());
+};
+
 /// Accumulated cost per phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseBreakdown {
-    costs: BTreeMap<Phase, SimDuration>,
+    /// Indexed by `Phase as usize`.
+    costs: [SimDuration; Phase::ALL.len()],
 }
 
 impl PhaseBreakdown {
@@ -119,19 +147,19 @@ impl PhaseBreakdown {
 
     /// Adds `cost` to `phase`.
     pub fn add(&mut self, phase: Phase, cost: SimDuration) {
-        *self.costs.entry(phase).or_default() += cost;
+        self.costs[phase as usize] += cost;
     }
 
     /// Cost accumulated for `phase`.
     #[must_use]
     pub fn get(&self, phase: Phase) -> SimDuration {
-        self.costs.get(&phase).copied().unwrap_or_default()
+        self.costs[phase as usize]
     }
 
     /// Sum over all phases.
     #[must_use]
     pub fn total(&self) -> SimDuration {
-        self.costs.values().copied().sum()
+        self.costs.iter().copied().sum()
     }
 
     /// Sum over all phases except the byte copy — the "management"
@@ -143,14 +171,14 @@ impl PhaseBreakdown {
 
     /// Merges another breakdown into this one.
     pub fn merge(&mut self, other: &PhaseBreakdown) {
-        for (phase, cost) in &other.costs {
-            self.add(*phase, *cost);
+        for (mine, theirs) in self.costs.iter_mut().zip(other.costs) {
+            *mine += theirs;
         }
     }
 
     /// Iterates over `(phase, cost)` pairs in presentation order.
     pub fn iter(&self) -> impl Iterator<Item = (Phase, SimDuration)> + '_ {
-        Phase::ALL.iter().map(|p| (*p, self.get(*p)))
+        Phase::ALL.into_iter().zip(self.costs)
     }
 }
 
@@ -162,7 +190,8 @@ impl PhaseBreakdown {
 /// [`Context::KernelThread`] line.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UsageMeter {
-    busy: BTreeMap<Context, SimDuration>,
+    /// Indexed by `Context as usize`.
+    busy: [SimDuration; Context::ALL.len()],
     workers: Vec<SimDuration>,
     /// CPU time spent compressing bytes bound for a compressed bank
     /// (also charged to its context in `busy`; this is attribution).
@@ -184,7 +213,7 @@ impl UsageMeter {
 
     /// Charges `cost` of busy time to `ctx`.
     pub fn charge(&mut self, ctx: Context, cost: SimDuration) {
-        *self.busy.entry(ctx).or_default() += cost;
+        self.busy[ctx as usize] += cost;
     }
 
     /// Charges `cost` of [`Context::KernelThread`] busy time, attributing
@@ -269,16 +298,16 @@ impl UsageMeter {
     /// Busy time accumulated by `ctx`.
     #[must_use]
     pub fn busy(&self, ctx: Context) -> SimDuration {
-        self.busy.get(&ctx).copied().unwrap_or_default()
+        self.busy[ctx as usize]
     }
 
     /// Total CPU busy time (all contexts with [`Context::is_cpu`]).
     #[must_use]
     pub fn cpu_busy(&self) -> SimDuration {
-        self.busy
-            .iter()
-            .filter(|(c, _)| c.is_cpu())
-            .map(|(_, d)| *d)
+        Context::ALL
+            .into_iter()
+            .filter(|c| c.is_cpu())
+            .map(|c| self.busy(c))
             .sum()
     }
 
@@ -294,7 +323,7 @@ impl UsageMeter {
 
     /// Resets all counters.
     pub fn reset(&mut self) {
-        self.busy.clear();
+        self.busy = Default::default();
         self.workers.clear();
         self.compress = SimDuration::ZERO;
         self.decompress = SimDuration::ZERO;
@@ -438,6 +467,55 @@ mod tests {
         m.reset();
         assert_eq!(m.tenant_busy(7), SimDuration::ZERO);
         assert_eq!(m.tenants().count(), 0);
+    }
+
+    #[test]
+    fn breakdown_and_meter_queries() {
+        let ns = SimDuration::from_ns;
+        let mut a = PhaseBreakdown::new();
+        a.add(Phase::Copy, ns(1_000));
+        a.add(Phase::Prep, ns(30));
+        a.add(Phase::CacheMaint, ns(7));
+        let mut b = PhaseBreakdown::new();
+        b.add(Phase::Prep, ns(12));
+        b.add(Phase::Notify, ns(5));
+        b.add(Phase::Copy, ns(0));
+        a.merge(&b);
+        assert_eq!(a.total().as_ns(), 1_054);
+        assert_eq!(a.overhead().as_ns(), 54);
+        let listed: Vec<(Phase, u64)> = a.iter().map(|(p, d)| (p, d.as_ns())).collect();
+        assert_eq!(
+            listed,
+            vec![
+                (Phase::Prep, 42),
+                (Phase::Remap, 0),
+                (Phase::DmaConfig, 0),
+                (Phase::Copy, 1_000),
+                (Phase::Release, 0),
+                (Phase::Notify, 5),
+                (Phase::Interface, 0),
+                (Phase::CacheMaint, 7),
+            ],
+            "every phase, in presentation order"
+        );
+        assert_eq!(PhaseBreakdown::new().overhead(), SimDuration::ZERO);
+
+        let mut m = UsageMeter::new();
+        for (i, ctx) in Context::ALL.into_iter().enumerate() {
+            m.charge(ctx, ns(10u64.pow(i as u32)));
+        }
+        m.charge(Context::Syscall, ns(5));
+        assert_eq!(m.busy(Context::App).as_ns(), 1);
+        assert_eq!(m.busy(Context::Syscall).as_ns(), 15);
+        assert_eq!(m.busy(Context::Interrupt).as_ns(), 100);
+        assert_eq!(m.busy(Context::KernelThread).as_ns(), 1_000);
+        assert_eq!(m.busy(Context::DmaEngine).as_ns(), 10_000);
+        assert_eq!(m.cpu_busy().as_ns(), 1_116, "DMA engine time excluded");
+        m.reset();
+        assert!(Context::ALL
+            .into_iter()
+            .all(|c| m.busy(c) == SimDuration::ZERO));
+        assert_eq!(m.cpu_busy(), SimDuration::ZERO);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 use std::fmt;
 use std::rc::Rc;
 
-use crate::churn::ChurnMap;
-
 use serde::{Deserialize, Serialize};
 
 /// A physical byte address on the simulated SoC.
@@ -59,23 +57,45 @@ impl fmt::LowerHex for PhysAddr {
 
 const FRAME_SHIFT: u32 = 12;
 const FRAME_SIZE: usize = 1 << FRAME_SHIFT;
+/// Frames per leaf of the frame table: one 2 MiB chunk.
+const LEAF_BITS: u32 = 9;
+const LEAF_FRAMES: usize = 1 << LEAF_BITS;
 
 /// One materialized frame's bytes, possibly shared by several frames
 /// (copy-on-write: writers go through [`Rc::make_mut`]).
 type Frame = Rc<[u8; FRAME_SIZE]>;
 
+/// The frames of one 2 MiB chunk, `None` where unbacked.
+type Leaf = [Option<Frame>; LEAF_FRAMES];
+
 /// Sparse, byte-addressable physical memory.
+///
+/// Frames live in a two-level table indexed by frame number: a
+/// directory with one entry per 2 MiB chunk, grown to the highest chunk
+/// ever touched, pointing at 512-slot leaves allocated on the chunk's
+/// first backed frame. Leaves are never freed, so frames coming and
+/// going in a chunk already touched never allocate.
 #[derive(Default)]
 pub struct PhysMem {
-    frames: ChurnMap<u64, Frame>,
+    dir: Vec<Option<Box<Leaf>>>,
+    /// Number of `Some` slots over all leaves.
+    backed: usize,
 }
 
 impl fmt::Debug for PhysMem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PhysMem")
-            .field("backed_frames", &self.frames.len())
+            .field("backed_frames", &self.backed)
             .finish()
     }
+}
+
+/// Directory index and leaf slot of frame number `frame`.
+fn split(frame: u64) -> (usize, usize) {
+    (
+        (frame >> LEAF_BITS) as usize,
+        (frame as usize) & (LEAF_FRAMES - 1),
+    )
 }
 
 impl PhysMem {
@@ -88,7 +108,41 @@ impl PhysMem {
     /// Number of frames that have been materialized.
     #[must_use]
     pub fn backed_frames(&self) -> usize {
-        self.frames.len()
+        self.backed
+    }
+
+    /// The bytes of frame number `frame`, if it is backed.
+    fn frame(&self, frame: u64) -> Option<&Frame> {
+        let (chunk, slot) = split(frame);
+        self.dir.get(chunk)?.as_ref()?[slot].as_ref()
+    }
+
+    /// The slot of frame number `frame`, allocating its leaf (and
+    /// growing the directory) first if needed.
+    fn slot_mut(&mut self, frame: u64) -> &mut Option<Frame> {
+        let (chunk, slot) = split(frame);
+        if chunk >= self.dir.len() {
+            self.dir.resize_with(chunk + 1, || None);
+        }
+        let leaf = self.dir[chunk].get_or_insert_with(|| Box::new([const { None }; LEAF_FRAMES]));
+        &mut leaf[slot]
+    }
+
+    /// Installs `data` as frame `frame`'s bytes.
+    fn back(&mut self, frame: u64, data: Frame) {
+        if self.slot_mut(frame).replace(data).is_none() {
+            self.backed += 1;
+        }
+    }
+
+    /// Drops frame `frame`'s bytes (reads return zeros afterwards).
+    fn release(&mut self, frame: u64) {
+        let (chunk, slot) = split(frame);
+        if let Some(Some(leaf)) = self.dir.get_mut(chunk) {
+            if leaf[slot].take().is_some() {
+                self.backed -= 1;
+            }
+        }
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -99,7 +153,7 @@ impl PhysMem {
             let frame = pos >> FRAME_SHIFT;
             let off = (pos as usize) & (FRAME_SIZE - 1);
             let n = (FRAME_SIZE - off).min(buf.len() - done);
-            match self.frames.get(&frame) {
+            match self.frame(frame) {
                 Some(data) => buf[done..done + n].copy_from_slice(&data[off..off + n]),
                 None => buf[done..done + n].fill(0),
             }
@@ -116,10 +170,11 @@ impl PhysMem {
             let frame = pos >> FRAME_SHIFT;
             let off = (pos as usize) & (FRAME_SIZE - 1);
             let n = (FRAME_SIZE - off).min(buf.len() - done);
-            let data = self
-                .frames
-                .get_or_insert_with(frame, || Rc::new([0u8; FRAME_SIZE]));
+            let slot = self.slot_mut(frame);
+            let fresh = slot.is_none();
+            let data = slot.get_or_insert_with(|| Rc::new([0u8; FRAME_SIZE]));
             Rc::make_mut(data)[off..off + n].copy_from_slice(&buf[done..done + n]);
+            self.backed += usize::from(fresh);
             done += n;
             pos += n as u64;
         }
@@ -172,14 +227,9 @@ impl PhysMem {
     /// Makes frame `dst` hold frame `src`'s bytes: shares a backed
     /// source, releases the destination of an unbacked one.
     fn share_frame(&mut self, src: u64, dst: u64) {
-        match self.frames.get(&src) {
-            Some(data) => {
-                let data = Rc::clone(data);
-                self.frames.insert(dst, data);
-            }
-            None => {
-                self.frames.remove(&dst);
-            }
+        match self.frame(src).cloned() {
+            Some(data) => self.back(dst, data),
+            None => self.release(dst),
         }
     }
 
@@ -213,11 +263,12 @@ impl PhysMem {
 
     /// Releases the backing of every frame fully covered by the range
     /// (models freeing physical pages; reads return zeros afterwards).
+    /// Partially covered frames at either end keep their bytes.
     pub fn discard(&mut self, addr: PhysAddr, len: u64) {
-        let first = addr.0 >> FRAME_SHIFT;
+        let first = addr.0.div_ceil(FRAME_SIZE as u64);
         let last = (addr.0 + len) >> FRAME_SHIFT;
         for frame in first..last {
-            self.frames.remove(&frame);
+            self.release(frame);
         }
     }
 }
@@ -355,6 +406,24 @@ mod tests {
     }
 
     #[test]
+    fn discard_keeps_partially_covered_frames() {
+        let mut mem = PhysMem::new();
+        mem.fill(PhysAddr::new(0), 4096 * 4, 0xEE);
+        // Covers the upper half of frame 1, all of frame 2 and the lower
+        // half of frame 3: only frame 2 is fully covered.
+        mem.discard(PhysAddr::new(0x1800), 0x2000);
+        assert_eq!(mem.backed_frames(), 3);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x1000)), 0xEE);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x17FF)), 0xEE);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x1800)), 0xEE, "frame 1 kept");
+        assert_eq!(mem.read_u8(PhysAddr::new(0x2000)), 0);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x3000)), 0xEE, "frame 3 kept");
+        // A range inside one frame covers none.
+        mem.discard(PhysAddr::new(0x10), 0x100);
+        assert_eq!(mem.backed_frames(), 3);
+    }
+
+    #[test]
     fn aligned_copy_of_untouched_source_stays_sparse() {
         let mut mem = PhysMem::new();
         // Destination had data; the all-zero source overwrites it by
@@ -404,5 +473,152 @@ mod tests {
     fn display_formats_hex() {
         assert_eq!(PhysAddr::new(0xABC).to_string(), "0xabc");
         assert_eq!(format!("{:x}", PhysAddr::new(0xABC)), "abc");
+    }
+
+    // ---- Differential property against a reference model ----
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Physical memory written the plain way: every backed frame owns
+    /// its bytes in an ordered map, and an aligned copy snapshots the
+    /// source frames before writing any destination frame.
+    #[derive(Default)]
+    struct RefMem {
+        frames: BTreeMap<u64, Vec<u8>>,
+    }
+
+    impl RefMem {
+        fn read(&self, addr: u64, len: usize) -> Vec<u8> {
+            let mut out = Vec::with_capacity(len);
+            let mut a = addr;
+            while out.len() < len {
+                let off = (a & 4095) as usize;
+                let n = (FRAME_SIZE - off).min(len - out.len());
+                match self.frames.get(&(a >> FRAME_SHIFT)) {
+                    Some(f) => out.extend_from_slice(&f[off..off + n]),
+                    None => out.resize(out.len() + n, 0),
+                }
+                a += n as u64;
+            }
+            out
+        }
+
+        fn write(&mut self, addr: u64, bytes: &[u8]) {
+            for (a, &b) in (addr..).zip(bytes) {
+                self.frames
+                    .entry(a >> FRAME_SHIFT)
+                    .or_insert_with(|| vec![0; FRAME_SIZE])[(a & 4095) as usize] = b;
+            }
+        }
+
+        fn copy(&mut self, src: u64, dst: u64, len: u64) {
+            if len == 0 || src == dst {
+                return;
+            }
+            if (src | dst | len) & 4095 == 0 {
+                let (src_f, dst_f) = (src >> FRAME_SHIFT, dst >> FRAME_SHIFT);
+                let snapshot: Vec<Option<Vec<u8>>> = (0..len >> FRAME_SHIFT)
+                    .map(|i| self.frames.get(&(src_f + i)).cloned())
+                    .collect();
+                for (f, frame) in (dst_f..).zip(snapshot) {
+                    match frame {
+                        Some(bytes) => self.frames.insert(f, bytes),
+                        None => self.frames.remove(&f),
+                    };
+                }
+            } else {
+                let bytes = self.read(src, len as usize);
+                self.write(dst, &bytes);
+            }
+        }
+
+        fn discard(&mut self, addr: u64, len: u64) {
+            let first = addr.div_ceil(4096);
+            let last = (addr + len) >> FRAME_SHIFT;
+            for f in first..last {
+                self.frames.remove(&f);
+            }
+        }
+    }
+
+    /// Twelve-frame windows: one straddling the leaf boundary between
+    /// frames 511 and 512, one at the top of the highest bank.
+    const WINDOWS: [u64; 2] = [506 * 4096, 0x20_0000_0000 + (8 << 30) - 6 * 4096];
+    const WINDOW_BYTES: u64 = 12 * 4096;
+
+    /// An address in window `w % 2`: frame-aligned when `aligned`.
+    fn addr(w: u64, x: u64, aligned: bool) -> u64 {
+        let base = WINDOWS[(w % 2) as usize];
+        if aligned {
+            base + (x % 12) * 4096
+        } else {
+            base + x % WINDOW_BYTES
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random write / fill / copy / discard / read sequences —
+        /// aligned, unaligned and overlapping, across a leaf boundary
+        /// and in two distant chunks — read back the reference model's
+        /// bytes and back the same number of frames.
+        #[test]
+        fn physmem_matches_reference_model(
+            ops in proptest::collection::vec(
+                (0u8..6, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+                1..40,
+            )
+        ) {
+            let mut mem = PhysMem::new();
+            let mut reference = RefMem::default();
+            for (kind, a, b, c, d) in ops {
+                // Half the copies and discards are frame-aligned.
+                let aligned = d & 1 == 0;
+                let len = if aligned { (c % 6) * 4096 } else { c % (3 * 4096) };
+                match kind {
+                    0 => {
+                        let at = addr(a, b, false);
+                        let bytes: Vec<u8> =
+                            (0..c % 9000).map(|i| (d >> (i % 8)) as u8 ^ i as u8).collect();
+                        mem.write(PhysAddr::new(at), &bytes);
+                        reference.write(at, &bytes);
+                    }
+                    1 => {
+                        let at = addr(a, b, false);
+                        let len = c % 9000;
+                        mem.fill(PhysAddr::new(at), len, d as u8);
+                        reference.write(at, &vec![d as u8; len as usize]);
+                    }
+                    2 | 3 => {
+                        // Kind 2 copies within one window, so source and
+                        // destination often overlap; kind 3 may cross.
+                        let src = addr(a, b, aligned);
+                        let dst = addr(if kind == 2 { a } else { a >> 1 }, d >> 8, aligned);
+                        mem.copy(PhysAddr::new(src), PhysAddr::new(dst), len);
+                        reference.copy(src, dst, len);
+                    }
+                    4 => {
+                        let at = addr(a, b, aligned);
+                        mem.discard(PhysAddr::new(at), len);
+                        reference.discard(at, len);
+                    }
+                    _ => {
+                        let at = addr(a, b, false);
+                        let mut back = vec![0u8; (c % 9000) as usize];
+                        mem.read(PhysAddr::new(at), &mut back);
+                        prop_assert!(back == reference.read(at, back.len()), "read at {at:#x}");
+                    }
+                }
+                prop_assert_eq!(mem.backed_frames(), reference.frames.len());
+            }
+            for base in WINDOWS {
+                let (start, len) = (base - 4 * 4096, WINDOW_BYTES + 8 * 4096);
+                let mut back = vec![0u8; len as usize];
+                mem.read(PhysAddr::new(start), &mut back);
+                prop_assert!(back == reference.read(start, len as usize), "window {base:#x}");
+            }
+        }
     }
 }

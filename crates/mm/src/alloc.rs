@@ -5,9 +5,9 @@
 //! free. A frame table records owner node and order for every live
 //! allocation so migration can free old pages without trusting callers.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use memif_hwsim::churn::ChurnMap;
+use memif_hwsim::churn::{ChurnMap, FastMap};
 use memif_hwsim::{NodeId, PhysAddr, Topology};
 
 use crate::addr::PageSize;
@@ -130,7 +130,7 @@ pub struct FrameInfo {
 /// frame table.
 #[derive(Debug)]
 pub struct FrameAllocator {
-    buddies: HashMap<NodeId, Buddy>,
+    buddies: FastMap<NodeId, Buddy>,
     frames: ChurnMap<u64, FrameInfo>,
     allocs: u64,
     frees: u64,
@@ -144,7 +144,7 @@ impl FrameAllocator {
     #[must_use]
     pub fn new(topo: &Topology) -> Self {
         let mut a = FrameAllocator {
-            buddies: HashMap::new(),
+            buddies: FastMap::default(),
             frames: ChurnMap::new(),
             allocs: 0,
             frees: 0,

@@ -101,6 +101,14 @@ fn leaf_key(vaddr: VirtAddr, size: PageSize) -> ([usize; 2], usize) {
     }
 }
 
+/// The entry at `slot` of leaf table `table`, if it holds a mapping.
+fn leaf_entry(table: Option<&Node>, slot: usize) -> Option<Pte> {
+    match table?.slots[slot] {
+        Slot::Leaf(pte) => Some(pte),
+        _ => None,
+    }
+}
+
 /// The per-address-space page table.
 #[derive(Debug)]
 pub struct PageTable {
@@ -181,23 +189,22 @@ impl PageTable {
     /// Entry value without any cost accounting (internal/diagnostics).
     #[must_use]
     pub fn peek(&self, vaddr: VirtAddr, size: PageSize) -> Option<Pte> {
-        let [i1, i2, i3] = indices(vaddr);
-        let l2 = match &self.root.slots[i1] {
-            Slot::Table(n) => n,
-            _ => return None,
+        let (node, slot) = leaf_key(vaddr, size);
+        leaf_entry(self.leaf_table(node), slot)
+    }
+
+    /// The table node holding the leaf entries at `node` (a key from
+    /// [`leaf_key`]): the level-3 table, or the level-2 table for 2 MiB
+    /// blocks. `None` if no such table exists.
+    fn leaf_table(&self, node: [usize; 2]) -> Option<&Node> {
+        let Slot::Table(l2) = &self.root.slots[node[0]] else {
+            return None;
         };
-        if size == PageSize::Large2M {
-            return match &l2.slots[i2] {
-                Slot::Leaf(pte) => Some(*pte),
-                _ => None,
-            };
+        if node[1] == usize::MAX {
+            return Some(l2);
         }
-        let l3 = match &l2.slots[i2] {
-            Slot::Table(n) => n,
-            _ => return None,
-        };
-        match &l3.slots[i3] {
-            Slot::Leaf(pte) => Some(*pte),
+        match &l2.slots[node[1]] {
+            Slot::Table(l3) => Some(l3),
             _ => None,
         }
     }
@@ -236,17 +243,23 @@ impl PageTable {
         out.clear();
         out.reserve(count as usize);
         let mut stats = WalkStats::default();
+        // The charged walk (`stats`) re-descends per page unless `gang`;
+        // the host walk resolves each leaf table once either way.
         let mut prev_node: Option<[usize; 2]> = None;
+        let mut table = None;
         for i in 0..count {
             let vaddr = start.offset(u64::from(i) * size.bytes());
-            let (node, _) = leaf_key(vaddr, size);
+            let (node, slot) = leaf_key(vaddr, size);
             if gang && prev_node == Some(node) {
                 stats.horizontal_step();
             } else {
                 stats.vertical_step();
             }
-            prev_node = Some(node);
-            out.push(self.peek(vaddr, size));
+            if prev_node != Some(node) {
+                table = self.leaf_table(node);
+                prev_node = Some(node);
+            }
+            out.push(leaf_entry(table, slot));
         }
         stats
     }
@@ -513,5 +526,98 @@ mod tests {
             .is_err(),
             "64 KiB mappings must be 64 KiB aligned"
         );
+    }
+
+    // ---- Gang walk against per-page lookups ----
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// 16 MiB of virtual space straddling the 1 GiB boundary, so ranges
+    /// cross both level-3 tables (every 2 MiB) and level-2 tables.
+    const BASE: u64 = 0x4000_0000 - (8 << 20);
+
+    fn page_size(sel: u8) -> PageSize {
+        match sel % 3 {
+            0 => PageSize::Small4K,
+            1 => PageSize::Medium64K,
+            _ => PageSize::Large2M,
+        }
+    }
+
+    /// The `idx`-th `size` page of the window (wrapping).
+    fn page_in_window(size: PageSize, idx: u64) -> VirtAddr {
+        VirtAddr::new(BASE + (idx % ((16 << 20) / size.bytes())) * size.bytes())
+    }
+
+    /// The charged walk as specified: a page descends from the root
+    /// unless `gang` and it shares its leaf table with the page before.
+    fn charged_walk(start: VirtAddr, count: u32, size: PageSize, gang: bool) -> WalkStats {
+        let shift = if size == PageSize::Large2M { 30 } else { 21 };
+        let table = |i: u32| {
+            ((start.as_u64() + u64::from(i) * size.bytes()) >> shift) & ((1 << (39 - shift)) - 1)
+        };
+        let vertical = (0..count)
+            .filter(|&i| !gang || i == 0 || table(i) != table(i - 1))
+            .count() as u32;
+        WalkStats {
+            vertical,
+            horizontal: count - vertical,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After random 4K / 64K / 2M mappings, every range lookup
+        /// returns the per-page `peek` entries (and the entries of a
+        /// plain model of the successful maps), with the charged walk's
+        /// statistics, gang and per-page alike.
+        #[test]
+        fn range_lookup_matches_per_page_peeks(
+            maps in proptest::collection::vec((0u8..3, any::<u64>()), 1..200),
+            lookups in proptest::collection::vec(
+                (0u8..3, any::<u64>(), any::<u64>(), any::<bool>()),
+                1..20,
+            ),
+        ) {
+            let mut t = PageTable::new();
+            // Successful maps: 4K/64K entries by granule, 2M blocks by
+            // 2 MiB index.
+            let mut granules = BTreeMap::new();
+            let mut blocks = BTreeMap::new();
+            for (sel, idx) in maps {
+                let size = page_size(sel);
+                let va = page_in_window(size, idx);
+                let entry = pte(0x8000_0000 + (idx % 1024) * size.bytes(), size);
+                if t.map(va, entry).is_ok() {
+                    if size == PageSize::Large2M {
+                        blocks.insert(va.as_u64() >> 21, entry);
+                    } else {
+                        granules.insert(va.as_u64() >> 12, entry);
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            for (sel, idx, n, gang) in lookups {
+                let size = page_size(sel);
+                let start = page_in_window(size, idx);
+                // Up to 1.5 leaf tables' worth of pages.
+                let count = 1 + (n % (3 * 512 * PageSize::Small4K.bytes() / size.bytes() / 2)) as u32;
+                let stats = t.lookup_range_into(start, count, size, gang, &mut out);
+                prop_assert_eq!(stats, charged_walk(start, count, size, gang));
+                prop_assert_eq!(out.len(), count as usize);
+                for (i, found) in out.iter().enumerate() {
+                    let va = start.offset(i as u64 * size.bytes());
+                    prop_assert_eq!(*found, t.peek(va, size));
+                    let modeled = if size == PageSize::Large2M {
+                        blocks.get(&(va.as_u64() >> 21))
+                    } else {
+                        granules.get(&(va.as_u64() >> 12))
+                    };
+                    prop_assert_eq!(*found, modeled.copied());
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! verify that claim, and counts flush operations so the cost harness can
 //! charge them.
 
-use std::collections::HashSet;
+use memif_hwsim::churn::FastSet;
 
 use crate::addr::{PageSize, VirtAddr};
 
@@ -27,7 +27,7 @@ pub struct TlbStats {
 /// about *whether* an entry was cached, not replacement policy).
 #[derive(Debug, Default)]
 pub struct Tlb {
-    entries: HashSet<u64>,
+    entries: FastSet<u64>,
     stats: TlbStats,
 }
 

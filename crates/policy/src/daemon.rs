@@ -23,13 +23,13 @@
 //! re-planned; their heat decays until the completion retires.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use memif::{
     ChainStep, Context, HookId, Memif, MoveChain, MoveSpec, NodeId, PageSize, Sim, SimDuration,
     SimEvent, SpaceId, System, TierRank, VirtAddr,
 };
+use memif_hwsim::churn::FastMap;
 use memif_hwsim::{MemoryKind, Topology};
 
 use crate::engine::{PolicyEngine, TierOccupancy};
@@ -149,9 +149,9 @@ struct Inner {
     engine: PolicyEngine,
     tiers: TierMap,
     /// Outstanding policy moves: request id → region base.
-    inflight: HashMap<u64, u64>,
+    inflight: FastMap<u64, u64>,
     /// Multi-hop floor plunges in flight: region base → chain.
-    chains: HashMap<u64, MoveChain>,
+    chains: FastMap<u64, MoveChain>,
     /// Moves that did not fit their target tier, parked for the
     /// cascade retry: `(base, target rank)`, cleared every epoch.
     waiting: Vec<(u64, usize)>,
@@ -222,8 +222,8 @@ impl PolicyDaemon {
             engine,
             cfg,
             tiers,
-            inflight: HashMap::new(),
-            chains: HashMap::new(),
+            inflight: FastMap::default(),
+            chains: FastMap::default(),
             waiting: Vec::new(),
             stats: PolicyStats::default(),
             running: true,

@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use memif::{Memif, MoveSpec, NodeId, Sim, SpaceId, System, VirtAddr};
+use memif_hwsim::churn::FastMap;
 use memif_hwsim::MemoryKind;
 use memif_mm::PageSize;
 
@@ -68,7 +69,7 @@ struct Inner {
     /// Bytes the pool leaves unallocated as headroom for other users.
     headroom: u64,
     /// In-flight request ids → what they were (true = eviction).
-    inflight: std::collections::HashMap<u64, (PoolRegion, bool)>,
+    inflight: FastMap<u64, (PoolRegion, bool)>,
     poll_armed: bool,
     stats: PoolStats,
 }
@@ -140,7 +141,7 @@ impl FastPool {
                 evicting: Vec::new(),
                 pending: VecDeque::new(),
                 headroom,
-                inflight: std::collections::HashMap::new(),
+                inflight: FastMap::default(),
                 poll_armed: false,
                 stats: PoolStats::default(),
             })),
