@@ -1,7 +1,5 @@
 //! memif instance configuration.
 
-use memif_hwsim::SimDuration;
-
 /// How the driver handles CPU/DMA races during migration (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RaceMode {
@@ -52,22 +50,12 @@ pub struct MemifConfig {
     pub pipeline_depth: usize,
     /// How many times the driver re-issues a request whose DMA path
     /// failed (engine error, watchdog timeout, descriptor exhaustion
-    /// under chaos) before degrading. Only consulted when a fault plan
-    /// is installed; the fault-free hot path never retries this way.
+    /// under chaos) before degrading. Retry *k* backs off 20 µs × 2^k
+    /// and a lost completion is declared after 8 × the expected transfer
+    /// time + 100 µs — fixed driver constants. Only consulted when a
+    /// fault plan is installed; the fault-free hot path never retries
+    /// this way.
     pub max_dma_retries: u32,
-    /// Base backoff before a retry; attempt *k* waits
-    /// `retry_backoff * 2^k`. Also the (fixed) descriptor-exhaustion
-    /// backoff on the fault-free path.
-    pub retry_backoff: SimDuration,
-    /// Watchdog deadline multiplier: a transfer is declared lost after
-    /// `expected_time * watchdog_factor + watchdog_slack`, where the
-    /// expected time comes from the transfer's bytes at the engine's
-    /// demand bandwidth plus the per-descriptor overhead. The watchdog
-    /// is armed only when a fault plan is installed.
-    pub watchdog_factor: u32,
-    /// Constant slack added to every watchdog deadline (absorbs queueing
-    /// behind other tenants' transfers).
-    pub watchdog_slack: SimDuration,
     /// When DMA retries are exhausted, fall back to a costed CPU copy
     /// (4 µs/page-class memcpy charged to the kernel thread) instead of
     /// failing the request. Off = deliver `MoveStatus::Failed`.
@@ -129,9 +117,6 @@ impl Default for MemifConfig {
             poll_threshold_bytes: None,
             pipeline_depth: 2,
             max_dma_retries: 3,
-            retry_backoff: SimDuration::from_us(20),
-            watchdog_factor: 8,
-            watchdog_slack: SimDuration::from_us(100),
             cpu_fallback: true,
             batch_max: 1,
             coalesce: false,
@@ -146,6 +131,8 @@ impl Default for MemifConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver;
+    use memif_hwsim::SimDuration;
 
     #[test]
     fn defaults_match_paper() {
@@ -162,9 +149,9 @@ mod tests {
     fn hardening_defaults() {
         let c = MemifConfig::default();
         assert_eq!(c.max_dma_retries, 3);
-        assert_eq!(c.retry_backoff, SimDuration::from_us(20));
-        assert_eq!(c.watchdog_factor, 8);
-        assert_eq!(c.watchdog_slack, SimDuration::from_us(100));
+        assert_eq!(driver::RETRY_BACKOFF, SimDuration::from_us(20));
+        assert_eq!(driver::WATCHDOG_FACTOR, 8);
+        assert_eq!(driver::WATCHDOG_SLACK, SimDuration::from_us(100));
         assert!(c.cpu_fallback);
     }
 

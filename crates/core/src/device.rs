@@ -223,27 +223,16 @@ pub(crate) struct PlanScratch {
     pub new_frames: Vec<PhysAddr>,
 }
 
-/// Reusable per-shard buffers of batch assembly and batched issue,
-/// cleared after every batch.
+/// Reusable per-shard buffers of batch assembly and issue. `issue`
+/// leaves `members` and `planned` empty; `chain` is refilled per use.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     /// The batch being assembled, in chain order.
     pub members: Vec<memif_lockfree::Dequeued>,
-    /// Virtual address spans the members read or write.
-    pub spans: Vec<(u64, u64)>,
     /// The members that survived planning, with their plans.
     pub planned: Vec<(memif_lockfree::Dequeued, crate::driver::exec::Plan)>,
     /// The members' segment lists concatenated into one chain.
     pub chain: Vec<memif_hwsim::dma::SgSegment>,
-}
-
-impl BatchScratch {
-    pub fn clear(&mut self) {
-        self.members.clear();
-        self.spans.clear();
-        self.planned.clear();
-        self.chain.clear();
-    }
 }
 
 /// Emptied vectors of retired in-flight records (and of rejected

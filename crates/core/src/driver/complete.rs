@@ -234,70 +234,64 @@ pub(crate) fn on_dma_complete(
     dev_mut(sys, id).spare.put_members(member_tokens);
 }
 
-/// Release + Notify on the interrupt path, after the interrupt entry
-/// cost has been paid ([`SimEvent::IrqRelease`]).
-pub(crate) fn irq_release(sys: &mut System, sim: &mut Sim<System>, id: DeviceId, token: u64) {
-    if sys.device(id).is_none() {
-        return;
-    }
-    let Some(index) = dev(sys, id).inflight.iter().position(|i| i.token == token) else {
-        return; // aborted in the completion window
-    };
-    // Crash point: copy applied, release not yet run (retire site 1).
-    if sys.maybe_crash(sim, CrashPoint::PreRetire) {
-        return;
-    }
-    let inflight = dev_mut(sys, id).take_inflight(index);
-    let req_id = inflight.req.id;
-    let shard = inflight.shard;
-    let release_cost = release_and_notify(sys, sim, id, inflight, Context::Interrupt);
-    sys.trace_emit(
-        sim.now(),
-        release_cost,
-        Context::Interrupt,
-        "ops 4-5: release+notify",
-        Some(req_id),
-    );
-    let wakeup = sys.cost.kthread_wakeup;
-    sys.meter.charge(Context::KernelThread, wakeup);
-    sys.meter.attribute_worker(shard, wakeup);
-    crate::driver::schedule_worker_wake(sys, sim, id, shard, release_cost + wakeup);
-    crate::driver::wake_deferred_peers(sys, sim, id, shard, release_cost + wakeup);
-    // Crash point: the request retired (journal sealed) an instant ago.
-    sys.maybe_crash(sim, CrashPoint::PostRetire);
+/// How a completed request reaches Release + Notify.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Via {
+    /// In the completion interrupt handler, after the interrupt entry
+    /// cost has been paid ([`SimEvent::IrqRelease`]).
+    Irq,
+    /// On the owning worker once its CPU frees up after the timed poll
+    /// sleep ([`SimEvent::PollRelease`]).
+    Poll,
+    /// On the owning worker after the degraded CPU-copy fallback
+    /// ([`SimEvent::DegradedRelease`]).
+    Degraded,
 }
 
-/// Release + Notify on the polling path, once the worker's CPU frees
-/// up ([`SimEvent::PollRelease`]).
-pub(crate) fn poll_release(sys: &mut System, sim: &mut Sim<System>, id: DeviceId, token: u64) {
+/// Release + Notify for the in-flight request `token`, then the worker
+/// wakes that follow it. The three paths differ only in context, trace
+/// label and whose CPU the release occupies: the interrupt handler
+/// charges a worker wakeup on top, while the worker paths keep the
+/// owning worker busy for the release itself.
+pub(crate) fn retire(sys: &mut System, sim: &mut Sim<System>, id: DeviceId, token: u64, via: Via) {
     if sys.device(id).is_none() {
         return;
     }
     let Some(index) = dev(sys, id).inflight.iter().position(|i| i.token == token) else {
-        return; // aborted in the completion window
+        return; // aborted in the completion (or copy) window
     };
-    // Crash point: copy applied, release not yet run (retire site 2).
+    // Crash point: copy applied, release not yet run.
     if sys.maybe_crash(sim, CrashPoint::PreRetire) {
         return;
     }
     let inflight = dev_mut(sys, id).take_inflight(index);
     let req_id = inflight.req.id;
     let shard = inflight.shard;
-    let release_cost = release_and_notify(sys, sim, id, inflight, Context::KernelThread);
-    sys.meter.attribute_worker(shard, release_cost);
-    sys.trace_emit(
-        sim.now(),
-        release_cost,
-        Context::KernelThread,
-        "ops 4-5: release+notify",
-        Some(req_id),
-    );
-    // Release/Notify occupies the owning worker's CPU.
-    let busy_until = sim.now() + release_cost;
-    let device = dev_mut(sys, id);
-    device.shards[shard].busy_until = device.shards[shard].busy_until.max(busy_until);
-    crate::driver::schedule_worker_wake(sys, sim, id, shard, release_cost);
-    crate::driver::wake_deferred_peers(sys, sim, id, shard, release_cost);
+    let ctx = match via {
+        Via::Irq => Context::Interrupt,
+        Via::Poll | Via::Degraded => Context::KernelThread,
+    };
+    let release_cost = release_and_notify(sys, sim, id, inflight, ctx);
+    let label = match via {
+        Via::Degraded => "ops 4-5: release+notify (degraded)",
+        Via::Irq | Via::Poll => "ops 4-5: release+notify",
+    };
+    sys.trace_emit(sim.now(), release_cost, ctx, label, Some(req_id));
+    let wake_after = if via == Via::Irq {
+        let wakeup = sys.cost.kthread_wakeup;
+        sys.meter.charge(Context::KernelThread, wakeup);
+        sys.meter.attribute_worker(shard, wakeup);
+        release_cost + wakeup
+    } else {
+        // Release/Notify occupies the owning worker's CPU.
+        sys.meter.attribute_worker(shard, release_cost);
+        let busy_until = sim.now() + release_cost;
+        let worker = &mut dev_mut(sys, id).shards[shard];
+        worker.busy_until = worker.busy_until.max(busy_until);
+        release_cost
+    };
+    crate::driver::schedule_worker_wake(sys, sim, id, shard, wake_after);
+    crate::driver::wake_deferred_peers(sys, sim, id, shard, wake_after);
     // Crash point: the request retired (journal sealed) an instant ago.
     sys.maybe_crash(sim, CrashPoint::PostRetire);
 }
@@ -336,17 +330,11 @@ pub(crate) fn release_and_notify(
                         || space.table().peek(page.vaddr, page_size) != Some(page.installed),
                     "semi-final PTE must not be TLB-resident unless referenced"
                 );
-                if let Err(found) =
-                    space
-                        .table_mut()
-                        .compare_exchange(page.vaddr, page.installed, page.final_pte)
+                if space
+                    .table_mut()
+                    .compare_exchange(page.vaddr, page.installed, page.final_pte)
+                    .is_err()
                 {
-                    if std::env::var_os("MEMIF_DEBUG_RACE").is_some() {
-                        eprintln!(
-                            "RACE at {}: installed={} found={} final={}",
-                            page.vaddr, page.installed, found, page.final_pte
-                        );
-                    }
                     races += 1;
                 }
                 cost += sys.cost.pte_cas;

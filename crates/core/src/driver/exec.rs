@@ -8,18 +8,11 @@ use memif_mm::{PageSize, Pte, VirtAddr};
 
 use crate::config::RaceMode;
 use crate::device::{BatchScratch, DeviceId, Inflight, PagePlan, PlanScratch};
-use crate::driver::{complete, dev, dev_mut, fault};
+use crate::driver::{
+    complete, dev, dev_mut, fault, RETRY_BACKOFF, WATCHDOG_FACTOR, WATCHDOG_SLACK,
+};
 use crate::event::SimEvent;
 use crate::system::System;
-
-/// What happened to a request handed to the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ExecOutcome {
-    /// A DMA transfer was launched; completion continues asynchronously.
-    Launched,
-    /// The request was rejected and its failure notification delivered.
-    Rejected,
-}
 
 /// A validated request's execution plan. Its two vectors are drawn from
 /// the device's spare pool and ride the in-flight record once the
@@ -146,179 +139,246 @@ fn codec_charge(sys: &mut System, segments: &[SgSegment], ctx: Context) -> SimDu
     cost
 }
 
-/// Runs operations 1–3 for `deq` in context `ctx`. Returns the kernel
-/// time consumed (the caller resumes after it) and the outcome.
-pub(crate) fn execute_request(
+/// Runs operations 1–3 in context `ctx` for the requests in
+/// `batch.members` (in chain order) as **one** scatter-gather launch; a
+/// solo request is a batch of one. Each member is planned (and its
+/// remap installed) individually, and a plan rejection notifies that
+/// member alone. The survivors' segments form one descriptor chain,
+/// programmed and launched once and completing with a single interrupt
+/// whose handler fans status back out per request. Descriptor
+/// exhaustion rolls every member back and applies the retry budget to
+/// each one on its own, so no request is ever dropped. `attempt` counts
+/// the exhaustion retries already spent (0 on first issue). Returns the
+/// kernel time consumed (the caller resumes after it) and leaves
+/// `batch.members` and `batch.planned` empty.
+pub(crate) fn issue(
     sys: &mut System,
     sim: &mut memif_hwsim::Sim<System>,
     id: DeviceId,
-    deq: Dequeued,
-    ctx: Context,
     shard: usize,
-) -> (SimDuration, ExecOutcome) {
-    execute_attempt(sys, sim, id, deq, ctx, 0, shard)
-}
-
-/// [`execute_request`] with an attempt budget carried across descriptor-
-/// exhaustion retries. On the fault-free path the attempt counter stays
-/// zero and the retry loop is unbounded, exactly as before hardening.
-pub(crate) fn execute_attempt(
-    sys: &mut System,
-    sim: &mut memif_hwsim::Sim<System>,
-    id: DeviceId,
-    deq: Dequeued,
     ctx: Context,
     attempt: u32,
-    shard: usize,
-) -> (SimDuration, ExecOutcome) {
-    let req = deq.req;
+    batch: &mut BatchScratch,
+) -> SimDuration {
     let mut elapsed = SimDuration::ZERO;
 
+    // Plan every member. Rejections drop out of the batch here with
+    // their failure notification; survivors have their remaps installed.
     let mut scratch = std::mem::take(&mut dev_mut(sys, id).shards[shard].scratch);
-    let mut plan = Plan::draw(sys, id);
-    let planned = plan_request(sys, id, &req, &mut scratch, &mut plan);
-    dev_mut(sys, id).shards[shard].scratch = scratch;
-    if let Err((status, cost)) = planned {
-        plan.recycle(sys, id);
-        elapsed += cost;
-        sys.meter.charge(ctx, cost);
-        complete::notify(sys, sim, id, deq.slot, req, status, None, ctx);
-        return (elapsed, ExecOutcome::Rejected);
+    for deq in batch.members.drain(..) {
+        let mut plan = Plan::draw(sys, id);
+        match plan_request(sys, id, &deq.req, &mut scratch, &mut plan) {
+            Ok(()) => batch.planned.push((deq, plan)),
+            Err((status, cost)) => {
+                plan.recycle(sys, id);
+                elapsed += cost;
+                sys.meter.charge(ctx, cost);
+                complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
+            }
+        }
     }
-    record_coalescing(sys, id, &plan);
+    dev_mut(sys, id).shards[shard].scratch = scratch;
+    if batch.planned.is_empty() {
+        return elapsed;
+    }
 
-    // Charge Prep and Remap.
-    sys.meter.charge(ctx, plan.prep_cost + plan.remap_cost);
+    // Charge Prep and Remap for every member.
+    let (mut prep, mut remap) = (SimDuration::ZERO, SimDuration::ZERO);
+    for (_, plan) in &batch.planned {
+        record_coalescing(sys, id, plan);
+        prep += plan.prep_cost;
+        remap += plan.remap_cost;
+    }
+    sys.meter.charge(ctx, prep + remap);
     {
         let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::Prep, plan.prep_cost);
-        stats.phases.add(Phase::Remap, plan.remap_cost);
+        stats.phases.add(Phase::Prep, prep);
+        stats.phases.add(Phase::Remap, remap);
     }
-    elapsed += plan.prep_cost + plan.remap_cost;
+    elapsed += prep + remap;
 
-    // Op 3: program the scatter-gather chain. The engine-level reuse
-    // switch follows the device's configuration (ablation A1).
+    // Op 3, once: program the chain — a lone plan's segments in place,
+    // several plans' concatenated. The engine-level reuse switch follows
+    // the device's configuration (ablation A1).
     sys.dma
         .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    let cfg = match sys.dma.configure_segments(&plan.segments, &sys.cost) {
+    let configured = if let [(_, plan)] = batch.planned.as_slice() {
+        sys.dma.configure_segments(&plan.segments, &sys.cost)
+    } else {
+        batch.chain.clear();
+        let planned = batch.planned.iter();
+        batch
+            .chain
+            .extend(planned.flat_map(|(_, p)| p.segments.iter().copied()));
+        sys.dma.configure_segments(&batch.chain, &sys.cost)
+    };
+    let cfg = match configured {
         Ok(cfg) => cfg,
         Err(memif_hwsim::dma::ChainError::AllBusy) => {
             // Every descriptor is tied up in other tenants' in-flight
-            // transfers. A real driver waits for the PaRAM.
+            // transfers. A real driver waits for the PaRAM: each member
+            // rolls back and retries after a backoff, and the budget
+            // applies per request, never per batch.
             let chaos = sys.chaos_enabled();
-            let (max_retries, base_backoff, fallback) = {
+            let (max_retries, fallback) = {
                 let c = &dev(sys, id).config;
-                (c.max_dma_retries, c.retry_backoff, c.cpu_fallback)
+                (c.max_dma_retries, c.cpu_fallback)
             };
-            if chaos && attempt >= max_retries {
-                // Retry budget exhausted under fault injection: serve the
-                // request degraded (the remap is still installed) or roll
-                // it back and fail it — never drop it silently.
-                if fallback {
+            let exhausted = chaos && attempt >= max_retries;
+            for (deq, plan) in batch.planned.drain(..) {
+                if exhausted && fallback {
+                    // Retry budget exhausted under fault injection: serve
+                    // the request degraded (the remap is still installed).
+                    let solo = Link::Leader(Vec::new());
                     let token =
-                        register_inflight(sys, id, req, &deq, None, plan, false, attempt, shard);
+                        register_inflight(sys, id, &deq, None, plan, false, attempt, shard, solo);
                     elapsed += journal_issue(sys, id, token, ctx);
-                    sim.schedule_after(
-                        elapsed,
-                        SimEvent::DegradeOrFail {
-                            device: id,
-                            token,
-                            reason: FailReason::Descriptors,
-                        },
-                    );
-                    return (elapsed, ExecOutcome::Launched);
+                    let reason = FailReason::Descriptors;
+                    let degrade = SimEvent::DegradeOrFail {
+                        device: id,
+                        token,
+                        reason,
+                    };
+                    sim.schedule_after(elapsed, degrade);
+                    continue;
                 }
                 undo_remap(sys, id, &plan);
                 plan.recycle(sys, id);
-                complete::notify(
-                    sys,
-                    sim,
-                    id,
-                    deq.slot,
-                    req,
-                    MoveStatus::Failed(FailReason::Descriptors),
-                    None,
-                    ctx,
-                );
-                return (elapsed, ExecOutcome::Rejected);
-            }
-            // Undo the remap and retry the whole request shortly. The
-            // fault-free path keeps its historical unbounded fixed
-            // backoff; under chaos the backoff doubles per attempt and
-            // the budget above bounds it.
-            undo_remap(sys, id, &plan);
-            plan.recycle(sys, id);
-            let (backoff, next_attempt) = if chaos {
-                dev_mut(sys, id).stats.retries += 1;
-                (base_backoff * (1u64 << attempt.min(16)), attempt + 1)
-            } else {
-                (base_backoff, 0)
-            };
-            sim.schedule_after(
-                backoff,
-                SimEvent::ExecRetry {
+                if exhausted {
+                    // Without the fallback, fail it — never drop it.
+                    let failed = MoveStatus::Failed(FailReason::Descriptors);
+                    complete::notify(sys, sim, id, deq.slot, deq.req, failed, None, ctx);
+                    continue;
+                }
+                // The fault-free path keeps its historical unbounded fixed
+                // backoff; under chaos the backoff doubles per attempt and
+                // the budget above bounds it.
+                let (backoff, next) = if chaos {
+                    dev_mut(sys, id).stats.retries += 1;
+                    (RETRY_BACKOFF * (1u64 << attempt.min(16)), attempt + 1)
+                } else {
+                    (RETRY_BACKOFF, 0)
+                };
+                let retry = SimEvent::ExecRetry {
                     device: id,
                     slot: deq.slot,
-                    req,
+                    req: deq.req,
                     color: deq.color,
                     ctx,
-                    attempt: next_attempt,
+                    attempt: next,
                     shard,
-                },
-            );
-            return (elapsed, ExecOutcome::Launched);
+                };
+                sim.schedule_after(backoff, retry);
+            }
+            return elapsed;
         }
-        Err(
-            memif_hwsim::dma::ChainError::TooLarge { .. }
-            | memif_hwsim::dma::ChainError::Empty
-            | memif_hwsim::dma::ChainError::MixedSizes,
-        ) => {
-            // Cannot ever fit or malformed scatter-gather geometry
-            // (validation bounds nr_pages by the pool size and plans use
-            // one uniform page size, so this is belt-and-braces).
-            undo_remap(sys, id, &plan);
-            plan.recycle(sys, id);
-            complete::notify(sys, sim, id, deq.slot, req, MoveStatus::Invalid, None, ctx);
-            return (elapsed, ExecOutcome::Rejected);
+        Err(_) => {
+            // Cannot ever fit, or malformed geometry (validation and
+            // assembly bound the page count by the pool size and plans
+            // use one uniform page size, so this is belt-and-braces).
+            for (deq, plan) in batch.planned.drain(..) {
+                undo_remap(sys, id, &plan);
+                plan.recycle(sys, id);
+                let invalid = MoveStatus::Invalid;
+                complete::notify(sys, sim, id, deq.slot, deq.req, invalid, None, ctx);
+            }
+            return elapsed;
         }
     };
     sys.meter.charge(ctx, cfg.config_cost);
     elapsed += cfg.config_cost;
+    let n = batch.planned.len();
     {
         let stats = &mut dev_mut(sys, id).stats;
         stats.phases.add(Phase::DmaConfig, cfg.config_cost);
         stats.descriptors_written += cfg.descriptors as u64;
+        if n >= 2 {
+            stats.requests_batched += n as u64;
+        }
     }
-    record_route(sys, id, &req, &plan);
-    // Compressed-tier moves pay their codec before the engine starts.
-    elapsed += codec_charge(sys, &plan.segments, ctx);
+    let mut total_pages = 0u32;
+    for (deq, plan) in &batch.planned {
+        record_route(sys, id, &deq.req, plan);
+        // Compressed-tier moves pay their codec before the engine starts.
+        elapsed += codec_charge(sys, &plan.segments, ctx);
+        total_pages += deq.req.nr_pages;
+    }
 
-    let bytes = cfg.bytes;
+    // One completion for the whole chain: the leader's mode is decided
+    // by the combined size. Members remember their own-size mode for
+    // the day they are split off into solo retries. Tokens are handed
+    // out in chain order, so the leader's roster is known up front.
     let threshold = dev(sys, id).poll_threshold(sys.cost.poll_threshold_bytes);
-    let interrupt_mode = bytes >= threshold;
-    let token = register_inflight(
-        sys,
-        id,
-        req,
-        &deq,
-        Some(cfg),
-        plan,
-        interrupt_mode,
-        attempt,
-        shard,
-    );
-    elapsed += journal_issue(sys, id, token, ctx);
+    let chain_interrupt = cfg.bytes >= threshold;
+    let leader = dev(sys, id).next_token;
+    let mut roster = if n >= 2 {
+        dev_mut(sys, id).spare.members()
+    } else {
+        Vec::new()
+    };
+    for token in leader + 1..leader + n as u64 {
+        roster.push(token);
+    }
+    let mut cfg = Some(cfg);
+    let mut offset = 0u64;
+    let mut leader_req = 0;
+    for (i, (deq, plan)) in batch.planned.drain(..).enumerate() {
+        let own_bytes: u64 = plan.segments.iter().map(|s| s.bytes).sum();
+        let (link, interrupt_mode) = if i == 0 {
+            leader_req = deq.req.id;
+            (Link::Leader(std::mem::take(&mut roster)), chain_interrupt)
+        } else {
+            (Link::Member { leader, offset }, own_bytes >= threshold)
+        };
+        offset += own_bytes;
+        let token = register_inflight(
+            sys,
+            id,
+            &deq,
+            cfg.take(),
+            plan,
+            interrupt_mode,
+            attempt,
+            shard,
+            link,
+        );
+        debug_assert_eq!(token, leader + i as u64, "tokens follow chain order");
+        elapsed += journal_issue(sys, id, token, ctx);
+    }
 
-    sys.trace_emit(
-        sim.now(),
-        elapsed,
-        ctx,
-        format_args!("ops 1-3: prep+remap+cfg ({} pages)", req.nr_pages),
-        Some(req.id),
-    );
+    let now = sim.now();
+    if n == 1 {
+        let label = format_args!("ops 1-3: prep+remap+cfg ({total_pages} pages)");
+        sys.trace_emit(now, elapsed, ctx, label, Some(leader_req));
+    } else {
+        let label = format_args!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)");
+        sys.trace_emit(now, elapsed, ctx, label, Some(leader_req));
+    }
     // The transfer begins once the CPU-side work above has elapsed.
-    sim.schedule_after(elapsed, SimEvent::Launch { device: id, token });
-    (elapsed, ExecOutcome::Launched)
+    let launch = SimEvent::Launch {
+        device: id,
+        token: leader,
+    };
+    sim.schedule_after(elapsed, launch);
+    elapsed
+}
+
+/// [`issue`] for one request: a batch of one, on shard `shard`'s batch
+/// buffers.
+pub(crate) fn issue_one(
+    sys: &mut System,
+    sim: &mut memif_hwsim::Sim<System>,
+    id: DeviceId,
+    shard: usize,
+    ctx: Context,
+    attempt: u32,
+    deq: Dequeued,
+) -> SimDuration {
+    let mut batch = std::mem::take(&mut dev_mut(sys, id).shards[shard].batch);
+    batch.members.push(deq);
+    let elapsed = issue(sys, sim, id, shard, ctx, attempt, &mut batch);
+    dev_mut(sys, id).shards[shard].batch = batch;
+    elapsed
 }
 
 /// Appends the issued request's write-ahead record. No-op (and free)
@@ -362,6 +422,16 @@ fn journal_issue(sys: &mut System, id: DeviceId, token: u64, ctx: Context) -> Si
     cost
 }
 
+/// A request's place in the chain it launches on.
+enum Link {
+    /// Owns the launch: a solo request (no members) or a batch leader
+    /// with its members' tokens in chain order.
+    Leader(Vec<u64>),
+    /// Rides `leader`'s launch, its first segment `offset` bytes into
+    /// the chain.
+    Member { leader: u64, offset: u64 },
+}
+
 /// Registers a prepared request with the device and returns its token.
 /// The request's virtual address spans enter the device-wide in-flight
 /// index here (and leave it in `MemifDevice::take_inflight`), so every
@@ -370,14 +440,19 @@ fn journal_issue(sys: &mut System, id: DeviceId, token: u64, ctx: Context) -> Si
 fn register_inflight(
     sys: &mut System,
     id: DeviceId,
-    req: MovReq,
     deq: &Dequeued,
     cfg: Option<memif_hwsim::dma::ConfiguredTransfer>,
     plan: Plan,
     interrupt_mode: bool,
     attempt: u32,
     shard: usize,
+    link: Link,
 ) -> u64 {
+    let (batch_members, batch_leader, chain_offset) = match link {
+        Link::Leader(members) => (members, None, 0),
+        Link::Member { leader, offset } => (Vec::new(), Some(leader), offset),
+    };
+    let req = deq.req;
     let device = dev_mut(sys, id);
     let token = device.next_token;
     device.next_token += 1;
@@ -401,223 +476,12 @@ fn register_inflight(
         completed: false,
         attempt,
         watchdog: None,
-        batch_members: Vec::new(),
-        batch_leader: None,
-        chain_offset: 0,
+        batch_members,
+        batch_leader,
+        chain_offset,
         shard,
     });
     token
-}
-
-/// Runs operations 1–3 for a drained batch of compatible requests as
-/// **one** chained scatter-gather launch. Each member is planned (and
-/// its remap installed) individually; the per-request segment lists are
-/// concatenated into a single descriptor chain programmed and launched
-/// once, completing with a single interrupt whose handler fans status
-/// back out per request. Per-member plan rejections notify that member
-/// alone; descriptor exhaustion disbands the batch into per-member
-/// retries so no request is ever dropped. The members come in
-/// `batch.members`; every buffer of `batch` is left empty.
-pub(crate) fn execute_batch(
-    sys: &mut System,
-    sim: &mut memif_hwsim::Sim<System>,
-    id: DeviceId,
-    batch: &mut BatchScratch,
-    ctx: Context,
-    shard: usize,
-) -> (SimDuration, ExecOutcome) {
-    let mut elapsed = SimDuration::ZERO;
-
-    // Plan every member. Rejections drop out of the batch here with
-    // their failure notification; survivors have their remaps installed.
-    let mut scratch = std::mem::take(&mut dev_mut(sys, id).shards[shard].scratch);
-    for deq in batch.members.drain(..) {
-        let mut plan = Plan::draw(sys, id);
-        match plan_request(sys, id, &deq.req, &mut scratch, &mut plan) {
-            Ok(()) => batch.planned.push((deq, plan)),
-            Err((status, cost)) => {
-                plan.recycle(sys, id);
-                elapsed += cost;
-                sys.meter.charge(ctx, cost);
-                complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
-            }
-        }
-    }
-    dev_mut(sys, id).shards[shard].scratch = scratch;
-    if batch.planned.is_empty() {
-        return (elapsed, ExecOutcome::Rejected);
-    }
-
-    // Charge Prep and Remap for every member.
-    let mut prep = SimDuration::ZERO;
-    let mut remap = SimDuration::ZERO;
-    for (_, p) in &batch.planned {
-        record_coalescing(sys, id, p);
-        prep += p.prep_cost;
-        remap += p.remap_cost;
-    }
-    sys.meter.charge(ctx, prep + remap);
-    {
-        let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::Prep, prep);
-        stats.phases.add(Phase::Remap, remap);
-    }
-    elapsed += prep + remap;
-
-    // Op 3, once: program the concatenated chain.
-    sys.dma
-        .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    batch.chain.clear();
-    batch.chain.extend(
-        batch
-            .planned
-            .iter()
-            .flat_map(|(_, p)| p.segments.iter().copied()),
-    );
-    let cfg = match sys.dma.configure_segments(&batch.chain, &sys.cost) {
-        Ok(cfg) => cfg,
-        Err(memif_hwsim::dma::ChainError::AllBusy) => {
-            // Descriptor exhaustion: disband. Each member's remap rolls
-            // back and the member re-enters execution solo after the
-            // backoff, exactly as a solo AllBusy would — retry operates
-            // per request, never per batch.
-            let chaos = sys.chaos_enabled();
-            let base_backoff = dev(sys, id).config.retry_backoff;
-            let next_attempt = u32::from(chaos);
-            for (deq, plan) in batch.planned.drain(..) {
-                undo_remap(sys, id, &plan);
-                plan.recycle(sys, id);
-                if chaos {
-                    dev_mut(sys, id).stats.retries += 1;
-                }
-                sim.schedule_after(
-                    base_backoff,
-                    SimEvent::ExecRetry {
-                        device: id,
-                        slot: deq.slot,
-                        req: deq.req,
-                        color: deq.color,
-                        ctx,
-                        attempt: next_attempt,
-                        shard,
-                    },
-                );
-            }
-            return (elapsed, ExecOutcome::Launched);
-        }
-        Err(_) => {
-            // Geometry errors (belt-and-braces: assembly bounds the
-            // total page count by the pool size).
-            for (deq, plan) in batch.planned.drain(..) {
-                undo_remap(sys, id, &plan);
-                plan.recycle(sys, id);
-                complete::notify(
-                    sys,
-                    sim,
-                    id,
-                    deq.slot,
-                    deq.req,
-                    MoveStatus::Invalid,
-                    None,
-                    ctx,
-                );
-            }
-            return (elapsed, ExecOutcome::Rejected);
-        }
-    };
-    sys.meter.charge(ctx, cfg.config_cost);
-    elapsed += cfg.config_cost;
-    let n = batch.planned.len();
-    {
-        let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::DmaConfig, cfg.config_cost);
-        stats.descriptors_written += cfg.descriptors as u64;
-        if n >= 2 {
-            stats.requests_batched += n as u64;
-        }
-    }
-    for (deq, plan) in &batch.planned {
-        record_route(sys, id, &deq.req, plan);
-        // Codec work for the whole chain, member by member.
-        elapsed += codec_charge(sys, &plan.segments, ctx);
-    }
-
-    let threshold = dev(sys, id).poll_threshold(sys.cost.poll_threshold_bytes);
-    // One completion for the whole chain: the leader's mode is decided
-    // by the combined size. Members remember their own-size mode for
-    // the day they are split off into solo retries.
-    let batch_interrupt = cfg.bytes >= threshold;
-    let mut cfg_slot = Some(cfg);
-    let mut offset = 0u64;
-    let mut leader_token = 0u64;
-    let mut member_tokens = if n >= 2 {
-        dev_mut(sys, id).spare.members()
-    } else {
-        Vec::new()
-    };
-    let mut total_pages = 0u32;
-    for (i, (deq, plan)) in batch.planned.drain(..).enumerate() {
-        let own_bytes: u64 = plan.segments.iter().map(|s| s.bytes).sum();
-        let interrupt_mode = if i == 0 {
-            batch_interrupt
-        } else {
-            own_bytes >= threshold
-        };
-        total_pages += deq.req.nr_pages;
-        let token = register_inflight(
-            sys,
-            id,
-            deq.req,
-            &deq,
-            if i == 0 { cfg_slot.take() } else { None },
-            plan,
-            interrupt_mode,
-            0,
-            shard,
-        );
-        let entry = dev_mut(sys, id)
-            .inflight
-            .iter_mut()
-            .find(|f| f.token == token)
-            .expect("just registered");
-        entry.chain_offset = offset;
-        offset += own_bytes;
-        if i == 0 {
-            leader_token = token;
-        } else {
-            entry.batch_leader = Some(leader_token);
-            member_tokens.push(token);
-        }
-        // Journal after the chain linkage above is final, so the record
-        // carries the member's leader token from the start.
-        elapsed += journal_issue(sys, id, token, ctx);
-    }
-    dev_mut(sys, id)
-        .inflight
-        .iter_mut()
-        .find(|f| f.token == leader_token)
-        .expect("registered above")
-        .batch_members = member_tokens;
-
-    sys.trace_emit(
-        sim.now(),
-        elapsed,
-        ctx,
-        format_args!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)"),
-        dev(sys, id)
-            .inflight
-            .iter()
-            .find(|f| f.token == leader_token)
-            .map(|f| f.req.id),
-    );
-    sim.schedule_after(
-        elapsed,
-        SimEvent::Launch {
-            device: id,
-            token: leader_token,
-        },
-    );
-    (elapsed, ExecOutcome::Launched)
 }
 
 pub(crate) fn launch(
@@ -728,11 +592,7 @@ pub(crate) fn launch(
     // keeping the hot path and the event stream identical to pre-
     // hardening builds.
     if sys.chaos_enabled() {
-        let (factor, slack) = {
-            let c = &dev(sys, id).config;
-            (c.watchdog_factor, c.watchdog_slack)
-        };
-        let deadline = wall * u64::from(factor) + slack;
+        let deadline = wall * WATCHDOG_FACTOR + WATCHDOG_SLACK;
         let wd = sim.schedule_after(deadline, SimEvent::WatchdogFire { device: id, token });
         dev_mut(sys, id)
             .inflight
@@ -855,11 +715,7 @@ fn fail_one(
             sys.tc.cancel_waiting(|(d, t)| *d == id && *t == token);
         }
     }
-    let (max_retries, base_backoff) = {
-        let c = &dev(sys, id).config;
-        (c.max_dma_retries, c.retry_backoff)
-    };
-    if attempt < max_retries {
+    if attempt < dev(sys, id).config.max_dma_retries {
         {
             let device = dev_mut(sys, id);
             device.stats.retries += 1;
@@ -867,7 +723,7 @@ fn fail_one(
                 i.attempt += 1;
             }
         }
-        let backoff = base_backoff * (1u64 << attempt.min(16));
+        let backoff = RETRY_BACKOFF * (1u64 << attempt.min(16));
         sim.schedule_after(backoff, SimEvent::RetryLaunch { device: id, token });
         return;
     }
@@ -992,45 +848,6 @@ pub(crate) fn degrade_or_fail(
     let ready_at = (sim.now() + copy_cost).max(dev(sys, id).shards[shard].busy_until);
     dev_mut(sys, id).shards[shard].busy_until = ready_at;
     sim.schedule_at(ready_at, SimEvent::DegradedRelease { device: id, token });
-}
-
-/// Release + Notify for a request served by the degraded CPU-copy path,
-/// once the worker's CPU frees up ([`SimEvent::DegradedRelease`]).
-pub(crate) fn degraded_release(
-    sys: &mut System,
-    sim: &mut memif_hwsim::Sim<System>,
-    id: DeviceId,
-    token: u64,
-) {
-    if sys.device(id).is_none() {
-        return;
-    }
-    let Some(index) = dev(sys, id).inflight.iter().position(|i| i.token == token) else {
-        return; // aborted in the copy window
-    };
-    // Crash point: copy applied, release not yet run (retire site 3).
-    if sys.maybe_crash(sim, memif_hwsim::CrashPoint::PreRetire) {
-        return;
-    }
-    let inflight = dev_mut(sys, id).take_inflight(index);
-    let req_id = inflight.req.id;
-    let shard = inflight.shard;
-    let release_cost = complete::release_and_notify(sys, sim, id, inflight, Context::KernelThread);
-    sys.meter.attribute_worker(shard, release_cost);
-    sys.trace_emit(
-        sim.now(),
-        release_cost,
-        Context::KernelThread,
-        "ops 4-5: release+notify (degraded)",
-        Some(req_id),
-    );
-    let busy_until = sim.now() + release_cost;
-    let device = dev_mut(sys, id);
-    device.shards[shard].busy_until = device.shards[shard].busy_until.max(busy_until);
-    crate::driver::schedule_worker_wake(sys, sim, id, shard, release_cost);
-    crate::driver::wake_deferred_peers(sys, sim, id, shard, release_cost);
-    // Crash point: the request retired (journal sealed) an instant ago.
-    sys.maybe_crash(sim, memif_hwsim::CrashPoint::PostRetire);
 }
 
 /// Frees the transfer-controller slot a retired transfer held on channel

@@ -24,7 +24,7 @@ use memif_hwsim::{Context, Sim};
 use memif_lockfree::{Color, Dequeued, MovReq, QueueId};
 
 use crate::device::{BatchScratch, DeviceId};
-use crate::driver::exec::{execute_batch, execute_request};
+use crate::driver::exec::issue;
 use crate::driver::{dev, dev_mut, region_fault};
 use crate::event::SimEvent;
 use crate::system::System;
@@ -100,11 +100,12 @@ fn run_round(
         }
     }
 
-    loop {
+    let (first, batch_max) = loop {
         // Deferred requests first: one may have been waiting on a
         // conflict that has since retired. They were dequeued (and their
         // queue operation charged) in an earlier round, so re-examining
-        // them costs nothing. FIFO scan keeps same-region order.
+        // them costs nothing. FIFO scan keeps same-region order. A
+        // deferred request issues alone.
         let parked = {
             let device = dev(sys, id);
             device.shards[shard]
@@ -113,20 +114,7 @@ fn run_round(
                 .position(|d| conflicting_token(device, &d.req).is_none())
         };
         if let Some(pos) = parked {
-            let deq = dev_mut(sys, id).shards[shard].deferred.remove(pos);
-            let (tenant, bytes) = (deq.req.tenant, deq.req.len_bytes());
-            let (elapsed, _outcome) =
-                execute_request(sys, sim, id, deq, Context::KernelThread, shard);
-            dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
-            sys.meter.attribute_worker(shard, elapsed);
-            if dev(sys, id).config.qos {
-                dev_mut(sys, id).shards[shard]
-                    .drr
-                    .charge(memif_qos::TenantId(tenant), bytes);
-                sys.meter.attribute_tenant(tenant, elapsed);
-            }
-            sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
-            return;
+            break (dev_mut(sys, id).shards[shard].deferred.remove(pos), 1);
         }
 
         let queue_cost = sys.cost.queue_op;
@@ -139,89 +127,99 @@ fn run_round(
 
         match next {
             Some(deq) => {
-                // Issue-time hazard guard: a request whose pages overlap
-                // a still-in-flight request must wait for it to retire.
-                // Planning it now would re-read (and overwrite) the
-                // in-flight remap's semi-final PTEs — with out-of-order
-                // completions (a lost interrupt riding out its watchdog
-                // while younger requests finish) the application can
-                // legally have both queued. FIFO within a region is
-                // preserved: a later same-region request conflicts with
-                // the same in-flight entry and parks behind this one.
-                // The span index is device-wide, so the guard also sees
-                // requests another shard put in flight.
-                if let Some(tok) = conflicting_token(dev(sys, id), &deq.req) {
-                    let cross = dev(sys, id)
-                        .inflight
-                        .iter()
-                        .find(|i| i.token == tok)
-                        .is_some_and(|i| i.shard != shard);
-                    let stats = &mut dev_mut(sys, id).stats;
-                    stats.requests_deferred += 1;
-                    if cross {
-                        stats.cross_shard_deferred += 1;
-                    }
-                    dev_mut(sys, id).shards[shard].deferred.push(deq);
-                    continue;
+                if !defer_on_conflict(sys, id, shard, deq) {
+                    break (deq, dev(sys, id).config.batch_max.max(1));
                 }
-                let batch_max = dev(sys, id).config.batch_max.max(1);
-                let tenant = deq.req.tenant;
-                let mut served_bytes = deq.req.len_bytes();
-                let (elapsed, _outcome) = if batch_max > 1 {
-                    let mut batch = std::mem::take(&mut dev_mut(sys, id).shards[shard].batch);
-                    assemble_batch(sys, id, shard, deq, batch_max, &mut batch);
-                    served_bytes = batch.members.iter().map(|d| d.req.len_bytes()).sum();
-                    let out = if batch.members.len() == 1 {
-                        let deq = batch.members.pop().expect("one element");
-                        execute_request(sys, sim, id, deq, Context::KernelThread, shard)
-                    } else {
-                        execute_batch(sys, sim, id, &mut batch, Context::KernelThread, shard)
-                    };
-                    batch.clear();
-                    dev_mut(sys, id).shards[shard].batch = batch;
-                    out
-                } else {
-                    execute_request(sys, sim, id, deq, Context::KernelThread, shard)
-                };
-                // Whether launched or rejected, the worker's CPU is busy
-                // for `elapsed`; it looks for more work afterwards (and
-                // issues it if the pipeline still has room).
-                dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
-                sys.meter.attribute_worker(shard, elapsed);
-                if dev(sys, id).config.qos {
-                    // Weighted-fair accounting: the round's service bytes
-                    // draw down the tenant's DRR deficit (a batch is one
-                    // tenant — `assemble_batch` enforces it under QoS).
-                    dev_mut(sys, id).shards[shard]
-                        .drr
-                        .charge(memif_qos::TenantId(tenant), served_bytes);
-                    sys.meter.attribute_tenant(tenant, elapsed);
-                }
-                sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
-                return;
             }
             None => {
                 // Both queues drained: hand the flush duty back to the
                 // application. A failed recolor means new requests raced
                 // in — keep draining.
-                match dev(sys, id)
+                if dev(sys, id)
                     .region
                     .set_color_sharded(QueueId::Staging, shard, Color::Blue)
+                    .is_ok()
                 {
-                    Ok(_) => {
-                        sys.trace_emit(
-                            sim.now(),
-                            memif_hwsim::SimDuration::ZERO,
-                            Context::KernelThread,
-                            "queues drained: staging recolored blue, kthread sleeps",
-                            None,
-                        );
-                        return; // idle; apps flush + ioctl from now on
-                    }
-                    Err(_) => continue,
+                    sys.trace_emit(
+                        sim.now(),
+                        memif_hwsim::SimDuration::ZERO,
+                        Context::KernelThread,
+                        "queues drained: staging recolored blue, kthread sleeps",
+                        None,
+                    );
+                    return; // idle; apps flush + ioctl from now on
                 }
             }
         }
+    };
+
+    // Issue `first` together with the compatible requests queued behind
+    // it (none when `batch_max` is 1).
+    let mut batch = std::mem::take(&mut dev_mut(sys, id).shards[shard].batch);
+    assemble_batch(sys, id, shard, first, batch_max, &mut batch);
+    let served_bytes = batch.members.iter().map(|d| d.req.len_bytes()).sum();
+    let elapsed = issue(sys, sim, id, shard, Context::KernelThread, 0, &mut batch);
+    dev_mut(sys, id).shards[shard].batch = batch;
+    // Whether launched or rejected, the worker's CPU is busy for
+    // `elapsed`; it looks for more work afterwards (and issues it if the
+    // pipeline still has room). A batch is one tenant — `assemble_batch`
+    // enforces it under QoS.
+    dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
+    sys.meter.attribute_worker(shard, elapsed);
+    charge_tenant(sys, id, shard, first.req.tenant, served_bytes, elapsed);
+    sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
+}
+
+/// Issue-time hazard guard: a request whose pages overlap a still-in-
+/// flight request must wait for it to retire. Planning it now would
+/// re-read (and overwrite) the in-flight remap's semi-final PTEs — with
+/// out-of-order completions (a lost interrupt riding out its watchdog
+/// while younger requests finish) the application can legally have both
+/// queued. FIFO within a region is preserved: a later same-region
+/// request conflicts with the same in-flight entry and parks behind this
+/// one. The span index is device-wide, so the guard also sees requests
+/// another shard put in flight; the conflicting request's retire path
+/// wakes every shard with deferred work. Returns `true` if `deq` was
+/// parked on shard `shard`'s deferred list.
+pub(crate) fn defer_on_conflict(
+    sys: &mut System,
+    id: DeviceId,
+    shard: usize,
+    deq: Dequeued,
+) -> bool {
+    let Some(tok) = conflicting_token(dev(sys, id), &deq.req) else {
+        return false;
+    };
+    let device = dev_mut(sys, id);
+    let cross = device
+        .inflight
+        .iter()
+        .find(|i| i.token == tok)
+        .is_some_and(|i| i.shard != shard);
+    device.stats.requests_deferred += 1;
+    if cross {
+        device.stats.cross_shard_deferred += 1;
+    }
+    device.shards[shard].deferred.push(deq);
+    true
+}
+
+/// Weighted-fair accounting for one issue on a QoS device: the served
+/// bytes draw down the tenant's DRR deficit and the issue's CPU time is
+/// attributed to it. A no-op with QoS off.
+pub(crate) fn charge_tenant(
+    sys: &mut System,
+    id: DeviceId,
+    shard: usize,
+    tenant: u16,
+    bytes: u64,
+    elapsed: memif_hwsim::SimDuration,
+) {
+    if dev(sys, id).config.qos {
+        dev_mut(sys, id).shards[shard]
+            .drr
+            .charge(memif_qos::TenantId(tenant), bytes);
+        sys.meter.attribute_tenant(tenant, elapsed);
     }
 }
 
@@ -347,8 +345,6 @@ fn assemble_batch(
     // requests may ride the chain.
     let same_tenant = dev(sys, id).config.qos.then_some(first.req.tenant);
     let mut total_pages = first.req.nr_pages as usize;
-    let spans = &mut batch.spans;
-    push_spans(spans, &first.req);
     batch.members.push(first);
     while batch.members.len() < batch_max && total_pages < max_pages {
         let queue_cost = sys.cost.queue_op;
@@ -359,7 +355,7 @@ fn assemble_batch(
                 && m.page_shift == shift
                 && same_tenant.is_none_or(|t| m.tenant == t)
                 && total_pages + m.nr_pages as usize <= max_pages
-                && !overlaps_any(spans, m)
+                && !overlaps_any(&batch.members, m)
                 && conflicting_token(device, m).is_none()
         };
         let queue_hit =
@@ -405,17 +401,7 @@ fn assemble_batch(
         };
         let Some(d) = next else { break };
         total_pages += d.req.nr_pages as usize;
-        push_spans(spans, &d.req);
         batch.members.push(d);
-    }
-}
-
-/// Records the virtual address ranges `req` reads or writes.
-fn push_spans(spans: &mut Vec<(u64, u64)>, req: &MovReq) {
-    let len = u64::from(req.nr_pages) << req.page_shift;
-    spans.push((req.src_base, len));
-    if req.kind == memif_lockfree::MoveKind::Replicate {
-        spans.push((req.dst_base, len));
     }
 }
 
@@ -426,7 +412,7 @@ fn push_spans(spans: &mut Vec<(u64, u64)>, req: &MovReq) {
 /// its remap overwrite — the in-flight entry's transient mappings. The
 /// check runs against the device-wide span index, which mirrors
 /// `inflight` exactly (spans registered at issue, dropped at retire).
-pub(crate) fn conflicting_token(device: &crate::device::MemifDevice, req: &MovReq) -> Option<u64> {
+fn conflicting_token(device: &crate::device::MemifDevice, req: &MovReq) -> Option<u64> {
     let len = u64::from(req.nr_pages) << req.page_shift;
     device.spans.first_overlap(req.src_base, len).or_else(|| {
         if req.kind == memif_lockfree::MoveKind::Replicate {
@@ -437,13 +423,19 @@ pub(crate) fn conflicting_token(device: &crate::device::MemifDevice, req: &MovRe
     })
 }
 
-/// True if any of `req`'s address ranges intersects a recorded span.
-fn overlaps_any(spans: &[(u64, u64)], req: &MovReq) -> bool {
-    let len = u64::from(req.nr_pages) << req.page_shift;
-    let hits = |base: u64| {
-        spans
-            .iter()
-            .any(|(sbase, slen)| base < sbase + slen && *sbase < base + len)
+/// True if any of `req`'s address ranges intersects one of the ranges
+/// the `members` read or write.
+fn overlaps_any(members: &[Dequeued], req: &MovReq) -> bool {
+    let ranges = |r: &MovReq| {
+        let len = u64::from(r.nr_pages) << r.page_shift;
+        let dst = (r.kind == memif_lockfree::MoveKind::Replicate).then_some(r.dst_base);
+        std::iter::once(r.src_base)
+            .chain(dst)
+            .map(move |base| (base, len))
     };
-    hits(req.src_base) || (req.kind == memif_lockfree::MoveKind::Replicate && hits(req.dst_base))
+    members.iter().any(|d| {
+        ranges(&d.req).any(|(sbase, slen)| {
+            ranges(req).any(|(base, len)| base < sbase + slen && sbase < base + len)
+        })
+    })
 }

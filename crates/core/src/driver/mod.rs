@@ -14,6 +14,13 @@
 //!   interrupt-driven and polling completion at the 512 KB threshold,
 //!   and recolors the staging queue blue before going back to sleep.
 //!
+//! Both issuing paths run operations 1–3 through one function,
+//! [`exec::issue`], which launches a batch of requests as one chain; a
+//! solo request (the syscall path, a deferred request, a retry, every
+//! round with `batch_max = 1`) is a batch of one. Operations 4–5 run
+//! through one function too, [`complete::retire`], whichever way the
+//! completion arrived: interrupt, poll, or the degraded CPU copy.
+//!
 //! Every deferred step of these paths is a typed
 //! [`SimEvent`](crate::SimEvent) — launch, retry, watchdog, interrupt
 //! and polling release, kernel-thread continuation — dispatched by the
@@ -32,8 +39,26 @@ pub(crate) mod fault;
 pub(crate) mod kthread;
 pub(crate) mod syscall;
 
+use memif_hwsim::SimDuration;
+
 use crate::device::{DeviceId, MemifDevice};
 use crate::system::System;
+
+/// Base backoff of the bounded retry policy: attempt *k* waits
+/// `RETRY_BACKOFF * 2^k`. Also the fixed descriptor-exhaustion backoff
+/// on the fault-free path.
+pub(crate) const RETRY_BACKOFF: SimDuration = SimDuration::from_us(20);
+
+/// Watchdog deadline multiplier: a transfer is declared lost after
+/// `expected_time * WATCHDOG_FACTOR + WATCHDOG_SLACK`, where the
+/// expected time comes from the transfer's bytes at the engine's demand
+/// bandwidth plus the per-descriptor overhead. The watchdog is armed
+/// only when a fault plan is installed.
+pub(crate) const WATCHDOG_FACTOR: u64 = 8;
+
+/// Constant slack added to every watchdog deadline (absorbs queueing
+/// behind other tenants' transfers).
+pub(crate) const WATCHDOG_SLACK: SimDuration = SimDuration::from_us(100);
 
 /// Immutable device access for driver internals.
 ///
@@ -68,7 +93,7 @@ pub(crate) fn region_fault(
 ) {
     sys.trace_emit(
         sim.now(),
-        memif_hwsim::SimDuration::ZERO,
+        SimDuration::ZERO,
         ctx,
         format_args!("shared region fault: {err}; device {} parks", id.0),
         None,
@@ -93,7 +118,7 @@ pub(crate) fn schedule_worker_wake(
     sim: &mut memif_hwsim::Sim<System>,
     id: DeviceId,
     shard: usize,
-    delay: memif_hwsim::SimDuration,
+    delay: SimDuration,
 ) {
     let at = sim.now() + delay;
     let device = dev_mut(sys, id);
@@ -160,7 +185,7 @@ pub(crate) fn readmit_parked(sys: &mut System, sim: &mut memif_hwsim::Sim<System
             .expect("slot owned by driver");
         device.note_enqueued(shard, req.tenant);
         sys.qos.note_unparked(TenantId(req.tenant));
-        schedule_worker_wake(sys, sim, id, shard, memif_hwsim::SimDuration::ZERO);
+        schedule_worker_wake(sys, sim, id, shard, SimDuration::ZERO);
     }
 }
 
@@ -176,7 +201,7 @@ pub(crate) fn wake_deferred_peers(
     sim: &mut memif_hwsim::Sim<System>,
     id: DeviceId,
     shard: usize,
-    delay: memif_hwsim::SimDuration,
+    delay: SimDuration,
 ) {
     let shards = dev(sys, id).shards.len();
     for s in 0..shards {

@@ -10,8 +10,8 @@ use memif_hwsim::{Context, Phase, Sim, SimDuration};
 use memif_lockfree::QueueId;
 
 use crate::device::DeviceId;
-use crate::driver::exec::execute_request;
-use crate::driver::{dev, dev_mut};
+use crate::driver::exec::issue_one;
+use crate::driver::{dev, dev_mut, kthread};
 use crate::event::SimEvent;
 use crate::system::System;
 
@@ -73,20 +73,8 @@ pub(crate) fn mov_one(
             // point (it lands on the Red staging queue and goes through
             // the worker), but with affinity routing the conflicting
             // requests can arrive on *different* shards, each finding
-            // its own queue idle. Park it; the conflicting request's
-            // retire path wakes every shard with deferred work.
-            if let Some(tok) = crate::driver::kthread::conflicting_token(dev(sys, id), &deq.req) {
-                let cross = dev(sys, id)
-                    .inflight
-                    .iter()
-                    .find(|i| i.token == tok)
-                    .is_some_and(|i| i.shard != shard);
-                let stats = &mut dev_mut(sys, id).stats;
-                stats.requests_deferred += 1;
-                if cross {
-                    stats.cross_shard_deferred += 1;
-                }
-                dev_mut(sys, id).shards[shard].deferred.push(deq);
+            // its own queue idle.
+            if kthread::defer_on_conflict(sys, id, shard, deq) {
                 // Any burst-mates behind it still need the worker.
                 sim.schedule_after(
                     crossing + queue_cost,
@@ -94,14 +82,9 @@ pub(crate) fn mov_one(
                 );
                 return crossing + queue_cost;
             }
+            let elapsed = issue_one(sys, sim, id, shard, Context::Syscall, 0, deq);
             let (tenant, bytes) = (deq.req.tenant, deq.req.len_bytes());
-            let (elapsed, _outcome) = execute_request(sys, sim, id, deq, Context::Syscall, shard);
-            if dev(sys, id).config.qos {
-                dev_mut(sys, id).shards[shard]
-                    .drr
-                    .charge(memif_qos::TenantId(tenant), bytes);
-                sys.meter.attribute_tenant(tenant, elapsed);
-            }
+            kthread::charge_tenant(sys, id, shard, tenant, bytes, elapsed);
             // Wake the shard's worker once the syscall's CPU time has
             // passed: it drains the rest of the burst, pipelining the
             // next request's preparation with the first transfer.

@@ -12,7 +12,8 @@
 //! benchmarks cannot drift while the feature is off.
 
 use memif::{
-    FaultPlan, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, PageSize, Sim, SimDuration, System,
+    FailReason, FaultPlan, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, PageSize, Sim,
+    SimDuration, System,
 };
 use proptest::prelude::*;
 
@@ -297,4 +298,49 @@ fn batch_rearm_counts_saved_inserts_on_fanout() {
         run(true) > 0,
         "a batch fan-out must save duplicate timer rearms"
     );
+}
+
+/// Descriptor exhaustion spends the retry budget per request, whatever
+/// the batch size: with every chain configuration refused, no retries
+/// allowed and no CPU fallback, each move fails `Descriptors` without a
+/// single retry — solo or chained.
+#[test]
+fn exhaustion_retry_budget_is_per_request_at_any_batch_size() {
+    for batch_max in [1, 8] {
+        let mut sys = System::keystone_ii();
+        let mut sim = Sim::new();
+        let plan = FaultPlan {
+            desc_exhaust_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        sys.install_faults(&mut sim, plan);
+        let space = sys.new_space();
+        let config = MemifConfig {
+            batch_max,
+            max_dma_retries: 0,
+            cpu_fallback: false,
+            ..MemifConfig::default()
+        };
+        let memif = Memif::open(&mut sys, space, config).unwrap();
+        for r in 0..8u64 {
+            let va = sys.mmap(space, PAGES, PAGE, NodeId(0)).unwrap();
+            let spec = MoveSpec::migrate(va, PAGES, PAGE, NodeId(1)).with_user_data(r);
+            memif.submit(&mut sys, &mut sim, spec).unwrap();
+        }
+        sim.run(&mut sys);
+        let mut statuses = Vec::new();
+        while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
+            statuses.push(c.status.0);
+        }
+        assert_eq!(
+            statuses,
+            vec![MoveStatus::Failed(FailReason::Descriptors); 8],
+            "batch_max={batch_max}: every move fails on descriptors"
+        );
+        let retries = sys.device(memif.device()).unwrap().stats.retries;
+        assert_eq!(
+            retries, 0,
+            "batch_max={batch_max}: a zero budget retries nothing"
+        );
+    }
 }

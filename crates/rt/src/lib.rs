@@ -228,8 +228,11 @@ pub struct RtStats {
     /// Kick-start "syscalls": red-blue transitions won by a submitter
     /// (at most one per blue window, however many threads raced).
     pub kicks: u64,
-    /// Submissions that observed **red** and needed no kick — the
-    /// syscall-free fast path of §4.4.
+    /// Submissions that needed no kick — the syscall-free fast path of
+    /// §4.4: those that observed **red** at enqueue, plus those that
+    /// flushed a blue queue but lost the recolor to a thread that
+    /// kicked. Every submission counts exactly once here or in
+    /// [`RtStats::kicks`].
     pub syscall_free: u64,
     /// Completions with a failure status.
     pub failed: u64,
@@ -388,7 +391,8 @@ impl RtDevice {
     /// [`RtStats::syscall_free`]); observing **blue** makes this thread
     /// flush staging → submission and race to recolor red, where the
     /// single winner pays the kick-start "syscall" (counted in
-    /// [`RtStats::kicks`]). Slot exhaustion is backpressure: the caller
+    /// [`RtStats::kicks`]; the losers paid nothing and count as
+    /// syscall-free). Slot exhaustion is backpressure: the caller
     /// spins (yielding) until the driver frees a slot.
     ///
     /// # Panics
@@ -444,8 +448,13 @@ impl RtDevice {
                         .expect("region");
                 }
                 match self.dev.region.set_color(QueueId::Staging, Color::Red) {
-                    Err(_) => continue,      // refilled mid-flush: re-flush
-                    Ok(Color::Red) => break, // another thread won and kicked
+                    Err(_) => continue, // refilled mid-flush: re-flush
+                    Ok(Color::Red) => {
+                        // Another thread won the recolor and kicked:
+                        // this submission rides its kick for free.
+                        self.dev.syscall_free.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
                     Ok(Color::Blue) => {
                         self.dev.kicks.fetch_add(1, Ordering::Relaxed);
                         self.shared.kick(); // the ioctl(MOV_ONE) analogue
@@ -654,7 +663,7 @@ mod tests {
         assert_eq!(stats.completed, producers * per_producer);
         assert!(stats.kicks >= 1, "at least one kick-start");
         assert!(
-            stats.kicks + stats.syscall_free >= stats.submitted,
+            stats.kicks + stats.syscall_free == stats.submitted,
             "every submission either kicked or rode the syscall-free path"
         );
     }
