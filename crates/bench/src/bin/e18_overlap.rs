@@ -249,6 +249,7 @@ fn main() {
             "invalid",
             "kicks",
             "syscall-free",
+            "rescued",
             "match",
         ],
     );
@@ -280,6 +281,7 @@ fn main() {
             invalid.to_string(),
             stats.kicks.to_string(),
             stats.syscall_free.to_string(),
+            stats.lost_kicks_rescued.to_string(),
             "yes".to_owned(),
         ]);
     }

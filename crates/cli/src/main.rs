@@ -625,12 +625,14 @@ fn stream_rt_stress(threads: u64) {
     let st = dev.stats();
     println!(
         "rt stress: {threads} thread{} x {PER_THREAD} moves: {done} Done + {invalid} Invalid \
-         ({} submitted, {} completed), {} kick syscalls, {} syscall-free submissions",
+         ({} submitted, {} completed), {} kick syscalls, {} syscall-free submissions, \
+         {} lost kicks rescued",
         if threads == 1 { "" } else { "s" },
         st.submitted,
         st.completed,
         st.kicks,
         st.syscall_free,
+        st.lost_kicks_rescued,
     );
 }
 

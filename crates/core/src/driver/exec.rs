@@ -24,6 +24,9 @@ pub(crate) struct Plan {
     page_size: PageSize,
     prep_cost: SimDuration,
     remap_cost: SimDuration,
+    /// Whether the plan's segments merge contiguous pages (the device's
+    /// `coalesce` setting).
+    coalesce: bool,
     /// Segments eliminated by coalescing (0 with coalescing off).
     coalesced_away: u64,
 }
@@ -38,7 +41,29 @@ impl Plan {
             page_size: PageSize::Small4K,
             prep_cost: SimDuration::ZERO,
             remap_cost: SimDuration::ZERO,
+            coalesce: false,
             coalesced_away: 0,
+        }
+    }
+
+    /// Adds one page's copy from `src` to `dst`, coalescing while
+    /// planning: with coalescing on, a page whose source **and**
+    /// destination both continue the last segment extends it (counted in
+    /// `coalesced_away`) instead of opening a descriptor of its own. This
+    /// is the greedy left-to-right merge, so it yields the segments a
+    /// one-segment-per-page list would coalesce into.
+    fn push_segment(&mut self, src: PhysAddr, dst: PhysAddr) {
+        let bytes = self.page_size.bytes();
+        match self.segments.last_mut() {
+            Some(seg)
+                if self.coalesce
+                    && seg.src.offset(seg.bytes) == src
+                    && seg.dst.offset(seg.bytes) == dst =>
+            {
+                seg.bytes += bytes;
+                self.coalesced_away += 1;
+            }
+            _ => self.segments.push(SgSegment { src, dst, bytes }),
         }
     }
 
@@ -48,29 +73,6 @@ impl Plan {
             .spare
             .put(self.segments, self.pages, Vec::new());
     }
-}
-
-/// Merges adjacent segments whose source **and** destination runs are
-/// both physically contiguous into one larger descriptor, in place.
-/// Returns the number of segments eliminated.
-fn coalesce_in_place(segs: &mut Vec<SgSegment>) -> u64 {
-    if segs.len() < 2 {
-        return 0;
-    }
-    let before = segs.len();
-    let mut w = 0usize;
-    for r in 1..segs.len() {
-        let seg = segs[r];
-        let prev = segs[w];
-        if prev.src.offset(prev.bytes) == seg.src && prev.dst.offset(prev.bytes) == seg.dst {
-            segs[w].bytes += seg.bytes;
-        } else {
-            w += 1;
-            segs[w] = seg;
-        }
-    }
-    segs.truncate(w + 1);
-    (before - segs.len()) as u64
 }
 
 /// Books the coalescing savings of a freshly built plan: eliminated
@@ -903,14 +905,11 @@ fn plan_request(
     }
 
     plan.page_size = page_size;
+    plan.coalesce = coalesce;
     match req.kind {
-        MoveKind::Replicate => plan_replication(sys, owner, req, gang, scratch, plan)?,
-        MoveKind::Migrate => plan_migration(sys, owner, req, gang, race_mode, scratch, plan)?,
+        MoveKind::Replicate => plan_replication(sys, owner, req, gang, scratch, plan),
+        MoveKind::Migrate => plan_migration(sys, owner, req, gang, race_mode, scratch, plan),
     }
-    if coalesce {
-        plan.coalesced_away = coalesce_in_place(&mut plan.segments);
-    }
-    Ok(())
 }
 
 fn lookup_cost(sys: &System, stats: memif_mm::WalkStats) -> SimDuration {
@@ -953,11 +952,7 @@ fn plan_replication(
     for (s, d) in scratch.ptes.iter().zip(&scratch.dst_ptes) {
         match (s, d) {
             (Some(sp), Some(dp)) if sp.is_present() && dp.is_present() => {
-                plan.segments.push(SgSegment {
-                    src: sp.frame(),
-                    dst: dp.frame(),
-                    bytes: page_size.bytes(),
-                });
+                plan.push_segment(sp.frame(), dp.frame());
             }
             _ => return Err((MoveStatus::Invalid, prep_cost)),
         }
@@ -1066,6 +1061,7 @@ fn plan_migration(
             rspace.tlb_mut().flush_page(*rva, page_size);
             remap_cost += sys.cost.pte_update_with_flush();
         }
+        plan.push_segment(original.frame(), new_frame);
         plan.pages.push(PagePlan {
             vaddr,
             old_frame: original.frame(),
@@ -1076,12 +1072,6 @@ fn plan_migration(
             remote,
         });
     }
-
-    plan.segments.extend(plan.pages.iter().map(|p| SgSegment {
-        src: p.old_frame,
-        dst: p.new_frame,
-        bytes: page_size.bytes(),
-    }));
     plan.prep_cost = prep_cost;
     plan.remap_cost = remap_cost;
     Ok(())
@@ -1110,5 +1100,179 @@ fn undo_remap(sys: &mut System, id: DeviceId, plan: &Plan) {
     }
     for page in &plan.pages {
         let _ = sys.alloc.free(page.new_frame);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::Memif;
+    use crate::config::MemifConfig;
+    use crate::system::SpaceId;
+    use memif_hwsim::NodeId;
+    use proptest::prelude::*;
+
+    /// The reference model of coalescing: one segment per page, then
+    /// adjacent segments whose source **and** destination runs are both
+    /// physically contiguous merged in place. Returns the number of
+    /// segments eliminated.
+    fn coalesce_in_place(segs: &mut Vec<SgSegment>) -> u64 {
+        if segs.len() < 2 {
+            return 0;
+        }
+        let before = segs.len();
+        let mut w = 0usize;
+        for r in 1..segs.len() {
+            let seg = segs[r];
+            let prev = segs[w];
+            if prev.src.offset(prev.bytes) == seg.src && prev.dst.offset(prev.bytes) == seg.dst {
+                segs[w].bytes += seg.bytes;
+            } else {
+                w += 1;
+                segs[w] = seg;
+            }
+        }
+        segs.truncate(w + 1);
+        (before - segs.len()) as u64
+    }
+
+    fn page_size(sel: u8) -> PageSize {
+        match sel % 3 {
+            0 => PageSize::Small4K,
+            1 => PageSize::Medium64K,
+            _ => PageSize::Large2M,
+        }
+    }
+
+    /// Maps `pages` pages on `node` and rewires them onto a fragmented
+    /// layout of their own frames. Each `(len, gap, reversed, front)`
+    /// run skips `gap` frames (they go to the region's tail), takes the
+    /// next `len` frames, backwards if `reversed`, and joins the layout
+    /// at its front or its back, so runs are out of order too. Returns
+    /// the region's base and its frames in virtual-page order.
+    fn fragmented_region(
+        sys: &mut System,
+        space: SpaceId,
+        pages: u32,
+        size: PageSize,
+        node: NodeId,
+        runs: &[(u8, u8, bool, bool)],
+    ) -> (VirtAddr, Vec<PhysAddr>) {
+        let base = sys.mmap(space, pages, size, node).expect("region maps");
+        let vaddr = |i: usize| base.offset(i as u64 * size.bytes());
+        let mut pool: Vec<PhysAddr> = (0..pages as usize)
+            .map(|i| sys.space(space).translate(vaddr(i)).expect("mapped"))
+            .collect();
+        pool.sort_unstable();
+        let mut pool = pool.into_iter();
+        let (mut layout, mut skipped) = (std::collections::VecDeque::new(), Vec::new());
+        for &(len, gap, reversed, front) in runs {
+            skipped.extend(pool.by_ref().take(usize::from(gap % 4)));
+            let mut run: Vec<PhysAddr> = pool.by_ref().take(usize::from(len % 9)).collect();
+            if reversed {
+                run.reverse();
+            }
+            if front {
+                run.into_iter().rev().for_each(|f| layout.push_front(f));
+            } else {
+                layout.extend(run);
+            }
+        }
+        let frames: Vec<PhysAddr> = layout.into_iter().chain(skipped).chain(pool).collect();
+        let table = sys.space_mut(space).table_mut();
+        for (i, &frame) in frames.iter().enumerate() {
+            let pte = table.peek(vaddr(i), size).expect("mapped");
+            table
+                .replace(vaddr(i), pte.with_frame(frame))
+                .expect("remap");
+        }
+        (base, frames)
+    }
+
+    /// Run shapes for [`fragmented_region`].
+    fn runs() -> impl Strategy<Value = Vec<(u8, u8, bool, bool)>> {
+        let run = (any::<u8>(), any::<u8>(), any::<bool>(), any::<bool>());
+        proptest::collection::vec(run, 1..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Coalescing while planning builds exactly the descriptors the
+        /// old two-pass plan did — one segment per page, then
+        /// `coalesce_in_place` — over fragmented frame layouts (gaps,
+        /// reversed and out-of-order runs, single pages) at 4K, 64K and
+        /// 2M, for migrations and replications, coalescing on and off;
+        /// and the device books the same savings.
+        #[test]
+        fn planning_coalesces_like_the_two_pass_model(
+            size_sel in 0u8..3,
+            replicate in any::<bool>(),
+            coalesce in any::<bool>(),
+            n in 1u32..=64,
+            src_runs in runs(),
+            dst_runs in runs(),
+            holes in any::<u64>(),
+        ) {
+            let size = page_size(size_sel);
+            // Keep 2 MiB regions (mapped twice over) small.
+            let n = if size == PageSize::Large2M { 1 + n % 8 } else { n };
+            let mut sys = System::keystone_ii();
+            let space = sys.new_space();
+            let config = MemifConfig { coalesce, ..MemifConfig::default() };
+            let id = Memif::open(&mut sys, space, config).expect("device opens").device();
+            let (src, src_frames) =
+                fragmented_region(&mut sys, space, 2 * n, size, NodeId(0), &src_runs);
+            let (dst, dst_frames) =
+                fragmented_region(&mut sys, space, 2 * n, size, NodeId(0), &dst_runs);
+            // Migrations allocate their destination frames: punch holes
+            // in the destination node first.
+            let dst_node = if size == PageSize::Large2M { NodeId(0) } else { NodeId(1) };
+            let taken: Vec<PhysAddr> = (0..64)
+                .map_while(|_| sys.alloc.alloc(dst_node, size).ok())
+                .collect();
+            for (i, frame) in taken.into_iter().enumerate() {
+                if holes >> i & 1 == 1 {
+                    sys.alloc.free(frame).expect("frees");
+                }
+            }
+
+            let req = MovReq {
+                id: 1,
+                kind: if replicate { MoveKind::Replicate } else { MoveKind::Migrate },
+                src_base: src.as_u64(),
+                dst_base: dst.as_u64(),
+                nr_pages: n,
+                page_shift: size.shift(),
+                dst_node: dst_node.0,
+                ..MovReq::default()
+            };
+            let mut scratch = PlanScratch::default();
+            let mut plan = Plan::draw(&mut sys, id);
+            prop_assert!(plan_request(&mut sys, id, &req, &mut scratch, &mut plan).is_ok());
+
+            let pairs: Vec<(PhysAddr, PhysAddr)> = if replicate {
+                src_frames.iter().copied().zip(dst_frames.iter().copied()).take(n as usize).collect()
+            } else {
+                let old: Vec<PhysAddr> = plan.pages.iter().map(|p| p.old_frame).collect();
+                prop_assert_eq!(&old[..], &src_frames[..n as usize]);
+                plan.pages.iter().map(|p| (p.old_frame, p.new_frame)).collect()
+            };
+            let mut model: Vec<SgSegment> = pairs
+                .into_iter()
+                .map(|(src, dst)| SgSegment { src, dst, bytes: size.bytes() })
+                .collect();
+            let away = if coalesce { coalesce_in_place(&mut model) } else { 0 };
+            prop_assert_eq!(&plan.segments, &model);
+            prop_assert_eq!(plan.coalesced_away, away);
+
+            record_coalescing(&mut sys, id, &plan);
+            let stats = &dev(&sys, id).stats;
+            prop_assert_eq!(stats.segments_coalesced, away);
+            prop_assert_eq!(
+                stats.descriptor_writes_saved,
+                away * u64::from(memif_hwsim::dma::PARAM_FIELDS)
+            );
+        }
     }
 }

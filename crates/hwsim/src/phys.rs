@@ -547,6 +547,19 @@ mod tests {
     const WINDOWS: [u64; 2] = [506 * 4096, 0x20_0000_0000 + (8 << 30) - 6 * 4096];
     const WINDOW_BYTES: u64 = 12 * 4096;
 
+    /// Frame-aligned areas for chunk-scale copies, each spanning
+    /// several 2 MiB chunks: across the leaf boundary between frames 511
+    /// and 512 (around window 0), across the top chunk of the highest
+    /// bank and the bank's end (around window 1), and across two chunks
+    /// no other operation touches.
+    const AREAS: [u64; 3] = [
+        0,
+        0x20_0000_0000 + (8 << 30) - (2 << 20) - 64 * 4096,
+        0x4000_0000 - 256 * 4096,
+    ];
+    /// Frames an area's copies start within, and the most they copy.
+    const AREA_FRAMES: u64 = 512;
+
     /// An address in window `w % 2`: frame-aligned when `aligned`.
     fn addr(w: u64, x: u64, aligned: bool) -> u64 {
         let base = WINDOWS[(w % 2) as usize];
@@ -563,13 +576,19 @@ mod tests {
         /// Random write / fill / copy / discard / read sequences —
         /// aligned, unaligned and overlapping, across a leaf boundary
         /// and in two distant chunks — read back the reference model's
-        /// bytes and back the same number of frames.
+        /// bytes and back the same number of frames. Then chunk-scale
+        /// frame copies between the areas run from and onto chunks that
+        /// are backed, partly backed or were never backed.
         #[test]
         fn physmem_matches_reference_model(
             ops in proptest::collection::vec(
                 (0u8..6, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
                 1..40,
-            )
+            ),
+            chunk_copies in proptest::collection::vec(
+                (0usize..3, any::<u64>(), 0usize..3, any::<u64>(), any::<u64>()),
+                0..6,
+            ),
         ) {
             let mut mem = PhysMem::new();
             let mut reference = RefMem::default();
@@ -618,6 +637,22 @@ mod tests {
                 let mut back = vec![0u8; len as usize];
                 mem.read(PhysAddr::new(start), &mut back);
                 prop_assert!(back == reference.read(start, len as usize), "window {base:#x}");
+            }
+            for (a, x, b, y, n) in chunk_copies {
+                let src = AREAS[a] + x % AREA_FRAMES * 4096;
+                let dst = AREAS[b] + y % AREA_FRAMES * 4096;
+                let len = (1 + n % AREA_FRAMES) * 4096;
+                mem.copy(PhysAddr::new(src), PhysAddr::new(dst), len);
+                reference.copy(src, dst, len);
+                prop_assert_eq!(mem.backed_frames(), reference.frames.len());
+            }
+            let mut back = [0u8; FRAME_SIZE];
+            for base in AREAS {
+                for f in (base >> FRAME_SHIFT..).take(2 * AREA_FRAMES as usize) {
+                    mem.read(PhysAddr::new(f << FRAME_SHIFT), &mut back);
+                    let want = reference.frames.get(&f).map_or(&[0u8; FRAME_SIZE][..], |v| v);
+                    prop_assert!(back[..] == *want, "frame {f:#x}");
+                }
             }
         }
     }

@@ -28,14 +28,6 @@ pub struct WalkStats {
 }
 
 impl WalkStats {
-    fn vertical_step(&mut self) {
-        self.vertical += 1;
-    }
-
-    fn horizontal_step(&mut self) {
-        self.horizontal += 1;
-    }
-
     /// Merges another stats record into this one.
     pub fn merge(&mut self, other: WalkStats) {
         self.vertical += other.vertical;
@@ -103,9 +95,23 @@ fn leaf_key(vaddr: VirtAddr, size: PageSize) -> ([usize; 2], usize) {
 
 /// The entry at `slot` of leaf table `table`, if it holds a mapping.
 fn leaf_entry(table: Option<&Node>, slot: usize) -> Option<Pte> {
-    match table?.slots[slot] {
+    entry(&table?.slots[slot])
+}
+
+/// The mapping a leaf-table slot holds, if any.
+fn entry(slot: &Slot) -> Option<Pte> {
+    match *slot {
         Slot::Leaf(pte) => Some(pte),
         _ => None,
+    }
+}
+
+/// Leaf-table slots one `size` page spans: 16 granules per 64 KiB page
+/// (its entry sits at the aligned base), one slot otherwise.
+fn slot_stride(size: PageSize) -> usize {
+    match size {
+        PageSize::Medium64K => 16,
+        _ => 1,
     }
 }
 
@@ -181,8 +187,10 @@ impl PageTable {
     /// full vertical walk.
     #[must_use]
     pub fn lookup(&self, vaddr: VirtAddr, size: PageSize) -> (Option<Pte>, WalkStats) {
-        let mut stats = WalkStats::default();
-        stats.vertical_step();
+        let stats = WalkStats {
+            vertical: 1,
+            horizontal: 0,
+        };
         (self.peek(vaddr, size), stats)
     }
 
@@ -243,23 +251,31 @@ impl PageTable {
         out.clear();
         out.reserve(count as usize);
         let mut stats = WalkStats::default();
-        // The charged walk (`stats`) re-descends per page unless `gang`;
-        // the host walk resolves each leaf table once either way.
-        let mut prev_node: Option<[usize; 2]> = None;
-        let mut table = None;
-        for i in 0..count {
-            let vaddr = start.offset(u64::from(i) * size.bytes());
+        // One run per leaf table: the key is computed and the table
+        // resolved once, and the run's entries are read off the table's
+        // slots. The charged walk (`stats`) descends once per run with
+        // `gang` and once per page without; the host walk is the same
+        // either way.
+        let stride = slot_stride(size);
+        let count = count as usize;
+        while out.len() < count {
+            let vaddr = start.offset(out.len() as u64 * size.bytes());
             let (node, slot) = leaf_key(vaddr, size);
-            if gang && prev_node == Some(node) {
-                stats.horizontal_step();
+            let run = (FANOUT - slot).div_ceil(stride).min(count - out.len());
+            match self.leaf_table(node) {
+                Some(table) => {
+                    let slots = table.slots[slot..].iter().step_by(stride);
+                    out.extend(slots.take(run).map(entry));
+                }
+                None => out.resize(out.len() + run, None),
+            }
+            let run = run as u32;
+            if gang {
+                stats.vertical += 1;
+                stats.horizontal += run - 1;
             } else {
-                stats.vertical_step();
+                stats.vertical += run;
             }
-            if prev_node != Some(node) {
-                table = self.leaf_table(node);
-                prev_node = Some(node);
-            }
-            out.push(leaf_entry(table, slot));
         }
         stats
     }

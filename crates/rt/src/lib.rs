@@ -236,6 +236,17 @@ pub struct RtStats {
     pub syscall_free: u64,
     /// Completions with a failure status.
     pub failed: u64,
+    /// Driver passes that moved this device's requests right after the
+    /// driver woke on its 1 ms backstop timeout rather than on a kick,
+    /// while no submission of this device was still between its enqueue
+    /// and its kick and no kick had arrived: work the red-blue handshake
+    /// left stranded. Every finished submission has either kicked or
+    /// observed an active (red) driver that must drain it before it
+    /// sleeps, so a correct run reports 0; anything else is a lost kick
+    /// the backstop papered over. Passes that overlap a submission in
+    /// progress are not counted, so under contention this can undercount
+    /// but never reports a kick that was merely late.
+    pub lost_kicks_rescued: u64,
 }
 
 #[derive(Default)]
@@ -253,6 +264,10 @@ struct DeviceShared {
     kicks: AtomicU64,
     syscall_free: AtomicU64,
     failed: AtomicU64,
+    lost_kicks_rescued: AtomicU64,
+    /// Submissions between their enqueue and the end of their kick
+    /// protocol: a kick may still be on its way while this is nonzero.
+    submitting: AtomicU64,
 }
 
 struct RtShared {
@@ -331,6 +346,8 @@ impl Rt {
             kicks: AtomicU64::new(0),
             syscall_free: AtomicU64::new(0),
             failed: AtomicU64::new(0),
+            lost_kicks_rescued: AtomicU64::new(0),
+            submitting: AtomicU64::new(0),
         });
         let mut devices = self.shared.devices.lock().unwrap();
         devices.push(Arc::clone(&dev));
@@ -434,6 +451,7 @@ impl RtDevice {
             }
         };
         self.dev.submitted.fetch_add(1, Ordering::Relaxed);
+        self.dev.submitting.fetch_add(1, Ordering::SeqCst);
         let color = self
             .dev
             .region
@@ -465,6 +483,7 @@ impl RtDevice {
         } else {
             self.dev.syscall_free.fetch_add(1, Ordering::Relaxed);
         }
+        self.dev.submitting.fetch_sub(1, Ordering::SeqCst);
         MoveFuture {
             shared: Arc::clone(&self.shared),
             key: (self.index, req_id),
@@ -485,6 +504,7 @@ impl RtDevice {
             kicks: self.dev.kicks.load(Ordering::Relaxed),
             syscall_free: self.dev.syscall_free.load(Ordering::Relaxed),
             failed: self.dev.failed.load(Ordering::Relaxed),
+            lost_kicks_rescued: self.dev.lost_kicks_rescued.load(Ordering::Relaxed),
         }
     }
 }
@@ -528,6 +548,8 @@ impl std::future::Future for MoveFuture {
 /// recolor refused because the queue refilled keeps the driver
 /// draining, so a submission that observed red is never stranded.
 fn drive(shared: &Arc<RtShared>) {
+    // The last sleep ended on the backstop timeout, not on a kick.
+    let mut backstop = false;
     loop {
         let devices: Vec<Arc<DeviceShared>> = shared.devices.lock().unwrap().clone();
         let mut moved = false;
@@ -544,6 +566,17 @@ fn drive(shared: &Arc<RtShared>) {
             }
             if dev_moved {
                 moved = true;
+                // Work found after a backstop wakeup with no submission
+                // still on its way to a kick and none announced since:
+                // the backstop rescued a lost kick. A submission ends
+                // after its kick, so reading no submission in progress
+                // means any kick it raised is already visible.
+                if backstop
+                    && dev.submitting.load(Ordering::SeqCst) == 0
+                    && !*shared.kicked.lock().unwrap()
+                {
+                    dev.lost_kicks_rescued.fetch_add(1, Ordering::Relaxed);
+                }
             }
             // Both queues observed empty: recolor blue so the next
             // submitter flushes + kicks. Failure means a request raced
@@ -552,6 +585,7 @@ fn drive(shared: &Arc<RtShared>) {
                 all_blue = false;
             }
         }
+        backstop = false;
         if !moved && all_blue {
             let mut kicked = shared.kicked.lock().unwrap();
             if !*kicked {
@@ -566,6 +600,7 @@ fn drive(shared: &Arc<RtShared>) {
                     .wait_timeout(kicked, Duration::from_millis(1))
                     .unwrap();
                 kicked = guard;
+                backstop = !*kicked;
             }
             *kicked = false;
         }
@@ -633,6 +668,30 @@ mod tests {
         let c = dev.move_blocking(MoveDesc::migrate(0xDEAD_0000, 4, PAGE_SHIFT));
         assert_eq!(c.status, MoveStatus::Invalid);
         assert_eq!(dev.stats().failed, 1);
+    }
+
+    #[test]
+    fn sequential_producer_needs_no_rescue() {
+        let rt = Rt::new();
+        let backend = MemBackend::new();
+        backend.register(0, 64 * PAGE);
+        let dev = rt.open(8, backend);
+        for i in 0..200 {
+            let c = dev.move_blocking(MoveDesc::migrate(0, 1, PAGE_SHIFT).with_user_data(i));
+            assert_eq!(c.status, MoveStatus::Done);
+            if i % 50 == 0 {
+                // Let the driver sleep through a few backstop timeouts
+                // between submissions.
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        }
+        let stats = dev.stats();
+        assert_eq!(stats.completed, 200);
+        assert!(stats.kicks >= 1, "an idle driver is kicked awake");
+        assert_eq!(
+            stats.lost_kicks_rescued, 0,
+            "every request of a lone sequential producer is announced by a kick or found awake"
+        );
     }
 
     #[test]
